@@ -10,8 +10,9 @@ lines must be exactly 7 data lines:
 
 Entries are integers, exact decimals, or p/q rationals.
 
-Exit codes: 0 success, 1 usage/parse error, 2 zero-pivot failure
-(float/exact modes), 3 singular system or substitution pole.
+Exit codes: 0 success, 1 usage/parse error (including a literal beyond
+the float range in float mode), 2 zero-pivot failure (float/exact modes),
+3 singular system or substitution pole.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def cmd_solve(args) -> int:
     except PoleAtZero as exc:
         print(f"singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except OverflowError as exc:  # a literal beyond the float range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.dump_factors:
         lu = _refactor(system, args.mode, args.tol)
         print("alpha =", " ".join(_fmt(v) for v in lu.alpha))
@@ -138,13 +142,23 @@ def cmd_check(args) -> int:
         except PoleAtZero as exc:
             report, banded_err = None, exc
     oracle_err = None
+    dense = densify(system)
     try:
-        oracle_x = dense_solve(densify(system), system.y)
+        oracle_x = dense_solve(dense, system.y)
     except Singular as exc:
         oracle_x, oracle_err = None, exc
     if report is None and oracle_x is None:
         print("SINGULAR: both the banded and the dense path report no "
               "unique solution", file=sys.stderr)
+        return EXIT_SINGULAR
+    if oracle_x is None and report.det == 0 and all(
+            sum(c * v for c, v in zip(row, report.x)) == yi
+            for row, yi in zip(dense, system.y)):
+        # consistent singular system: a solution exists, but not a unique one
+        print("SINGULAR: no unique solution; the banded path found a "
+              "solution with det(A1) = 0")
+        print("x:", " ".join(_fmt(v) for v in report.x))
+        print(f"mode: {report.mode}")
         return EXIT_SINGULAR
     if report is None or oracle_x is None or tuple(report.x) != tuple(oracle_x):
         print("MISMATCH")

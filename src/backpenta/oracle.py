@@ -13,6 +13,7 @@ ranges used here and keeps the mapping trivially portable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +56,7 @@ def _integer_rows(matrix, rhs=None):
         row = [Fraction(v) for v in matrix[i]]
         if rhs is not None:
             row.append(Fraction(rhs[i]))
-        mult = 1
-        for v in row:
-            mult = mult * v.denominator // _gcd(mult, v.denominator)
+        mult = math.lcm(*(v.denominator for v in row))
         rows.append([int(v * mult) for v in row])
         scale *= mult
     return rows, scale
@@ -211,9 +210,3 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     d = list(exact.d)
     d[n - i] -= shift  # d_(n-i+1)
     return new_system(exact.a_tilde, exact.a, d, exact.b, exact.b_tilde, exact.y)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -13,6 +13,7 @@ the reduced p/q invariant with a positive denominator.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -60,7 +61,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -331,13 +332,10 @@ class RationalFunction:
     def _integer_scaled(self):
         # Common rational multiplier that makes both polynomials integer
         # and jointly primitive; used only for display.
-        coeffs = list(self.num.coeffs) + list(self.den.coeffs)
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for c in coeffs:
-            num_gcd = _gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+        coeffs = self.num.coeffs + self.den.coeffs
+        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+        num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator)
+                             for c in coeffs))
         mult = Fraction(denom_lcm, num_gcd or 1)
         num = self.num.scale(mult)
         den = self.den.scale(mult)
@@ -357,9 +355,3 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

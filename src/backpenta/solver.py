@@ -1,13 +1,16 @@
 """Linear-time LU solve of backward pentadiagonal systems.
 
-Two modes share one set of recurrences, written once over whatever scalar
-type the system carries:
+The recurrences are written once over whatever scalar type the system
+carries:
 
 * numeric/exact: fails fast on a zero pivot beta_i;
-* symbolic rescue: every identically-zero pivot is replaced by a single
-  placeholder symbol, all downstream quantities become rational functions
-  of it, and the finished solution and determinant are evaluated at
-  placeholder = 0.
+* symbolic rescue (factor_symbolic): every identically-zero pivot is
+  replaced by a single placeholder symbol and all downstream quantities
+  become rational functions of it.
+
+solve_symbolic computes the same rescue without rational-function
+arithmetic, by fraction-free band elimination over Z[x], and evaluates
+the finished solution and determinant at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -15,11 +18,12 @@ conventional subscripts (beta_1 .. beta_n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ratfunc import PoleAtZero, RationalFunction
+from .ratfunc import PoleAtZero, Polynomial, RationalFunction
 from .systems import BackwardPentaSystem, PentaSystem, reverse_rows
 
 
@@ -205,20 +209,126 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     solution components and the determinant are then evaluated at
     placeholder = 0. Raises PoleAtZero when that substitution hits a pole
     (IdenticallySingular when the failing pivot is beta_n itself).
+
+    The values equal those of factor_symbolic, forward_sweep and
+    back_substitute over Q(x), but come from _band_bareiss: replacing
+    beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
+    of A1 + xE, integer polynomials computed without a gcd. Canonical
+    rational functions are built once per component at the end.
     """
-    lifted = system.map_scalars(lambda v: RationalFunction.constant(Fraction(v)))
-    p = reverse_rows(lifted)
-    lu = factor_symbolic(p)
-    replaced = lu.replacements
-    z = forward_sweep(p, lu)
-    x_presub = back_substitute(p, lu, z)
-    try:
-        x = tuple(xi.eval_at_zero() for xi in x_presub)
-        det = determinant(lu)
-    except PoleAtZero:
-        if lu.n in replaced:
-            raise IdenticallySingular(
-                f"beta[{lu.n}] is identically zero; no finite solution") from None
-        raise
-    return SolveReport(x=x, det=det, mode="symbolic",
-                       pivot_replacements=replaced, x_presub=x_presub, z=z)
+    rows, scales = _a1_rows(system.map_scalars(Fraction))
+    bits, replaced, minors, numers = _band_bareiss(rows, scales)
+    det = _unpack(minors[-1], bits)
+    numers = [_unpack(v, bits) for v in numers]
+    det_poly = Polynomial(det)
+    x_presub = tuple(RationalFunction(Polynomial(num), det_poly)
+                     for num in numers)
+    # z_k = c_k / (scale_k D_(k-1)), with D_(-1) = 1
+    z = tuple(RationalFunction(
+        Polynomial(_unpack(row[5], bits)),
+        Polynomial(scale * c for c in _unpack(prev, bits)))
+        for row, scale, prev in zip(rows, scales, (1,) + minors))
+    # x_k(0) is finite iff x^v divides N_k, v the x-adic order of det.
+    v = next(i for i, c in enumerate(det) if c)
+    x = []
+    for num, xi in zip(numers, x_presub):
+        if any(num[:v]):
+            if system.n in replaced:
+                raise IdenticallySingular(f"beta[{system.n}] is identically "
+                                          "zero; no finite solution")
+            raise PoleAtZero(f"pole at 0 in {xi}")
+        x.append(Fraction(num[v] if v < len(num) else 0, det[v]))
+    return SolveReport(x=tuple(x), det=Fraction(det[0], math.prod(scales)),
+                       mode="symbolic", pivot_replacements=replaced,
+                       x_presub=x_presub, z=z)
+
+
+def _a1_rows(system: BackwardPentaSystem):
+    """Rows i of [A1 | Y1], each scaled by the lcm of its denominators,
+    as integer lists [A1[i][i-2], A1[i][i-1], A1[i][i], A1[i][i+1],
+    A1[i][i+2], Y1[i]] (0-based, zeros off the band); and the scales."""
+    n = system.n
+    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
+                          system.b_tilde, system.y)
+    rows, scales = [], []
+    for i in range(n):
+        j = n - 1 - i  # band index of A1 row i
+        row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
+               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y[j]]
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _band_bareiss(rows: list, scales: list):
+    """Fraction-free band elimination of [A1 + xE | Y1] without pivoting.
+
+    rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
+    added, which in the unscaled system is the placeholder x itself.
+    Polynomials in Z[x] are packed into ints by Kronecker substitution:
+    p is stored as p(X) for X = 2**bits, so that ring operations and exact
+    division in Z[x] are plain int operations. Every stored value is a
+    minor of the scaled augmented matrix, and bits exceeds the bit length
+    of the product of its absolute row sums (each counting the x
+    coefficient), which bounds every coefficient of such a minor; so the
+    packing is injective and _unpack recovers it.
+
+    Rows are reduced in place to the Bareiss upper-triangular form: row k
+    ends as [., ., D_k, u, u, c_k] where D_k is the leading (k+1)-minor.
+    A row is untouched until it enters the band at step k, two steps
+    before its pivot. Bareiss would by then have scaled it by D_(k-1);
+    that factor cancels the step's division by D_(k-1), so the entering
+    row is updated from its original entries with no division. Returns
+    bits, the 1-based replaced pivots, the minors D_0..D_(n-1) and the
+    Cramer numerators N_k = D_(n-1) x_k, all packed.
+    """
+    n = len(rows)
+    bits = math.prod(sum(map(abs, row)) + scale
+                     for row, scale in zip(rows, scales)).bit_length() + 1
+    replaced = []
+    minors = []
+    prev = 1
+    for k in range(n):
+        piv = rows[k]
+        p = piv[2]
+        if not p:
+            replaced.append(k + 1)
+            p = piv[2] = (scales[k] << bits) * prev
+        minors.append(p)
+        u1, u2, c = piv[3], piv[4], piv[5]
+        if k + 1 < n:
+            r = rows[k + 1]
+            h = r[1]
+            r[2] = (p * r[2] - h * u1) // prev
+            r[3] = (p * r[3] - h * u2) // prev
+            r[4] = p * r[4] // prev
+            r[5] = (p * r[5] - h * c) // prev
+        if k + 2 < n:  # row entering the band: still its original entries
+            r = rows[k + 2]
+            h = r[0]
+            r[1] = p * r[1] - h * u1
+            r[2] = p * r[2] - h * u2
+            r[3] = p * r[3]
+            r[4] = p * r[4]
+            r[5] = p * r[5] - h * c
+        prev = p
+    numers = [0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        _, _, dk, u1, u2, c = rows[k]
+        numers[k] = (c * prev - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
+    return bits, tuple(replaced), tuple(minors), numers[:n]
+
+
+def _unpack(v: int, bits: int) -> list:
+    """Coefficients, ascending, of the polynomial packed as v (balanced
+    base-2**bits digits)."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> bits
+    return out

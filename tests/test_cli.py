@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import backpenta
 from backpenta.cli import (format_system, main, parse_system_text,
                            read_system)
+from backpenta.oracle import GeneratorConfig, generate
 from backpenta.systems import new_system
 
 EX31_FILE = """\
@@ -137,6 +142,24 @@ class TestSolveCommand:
         main(["solve", ex31_path, "--det"])
         assert capsys.readouterr().out == first
 
+    def test_float_overflowing_literal(self, tmp_path, capsys):
+        p = tmp_path / "huge.txt"
+        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 1e400"))
+        assert main(["solve", str(p), "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_python_dash_m(self, ex31_path):
+        src = os.path.dirname(os.path.dirname(backpenta.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "backpenta", "solve", ex31_path, "--det"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == ["1", "2", "3", "4", "5",
+                                            "det(A1) = 160"]
+
 
 class TestCheckCommand:
     def test_match(self, ex31_path, capsys):
@@ -157,6 +180,19 @@ class TestCheckCommand:
         p = tmp_path / "singular.txt"
         p.write_text(text)
         assert main(["check", str(p)]) == 3
+
+    def test_consistent_singular_system(self, tmp_path, capsys):
+        # the symbolic fallback finds an exact solution with det(A1) = 0;
+        # the dense oracle reports Singular
+        system = generate(GeneratorConfig(seed=29, n=6,
+                                          force_zero_pivots=("d_n",)))
+        p = tmp_path / "consistent.txt"
+        p.write_text(format_system(system))
+        assert main(["check", str(p)]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("SINGULAR: no unique solution")
+        assert "MISMATCH" not in out
+        assert "mode: symbolic" in out
 
 
 class TestGenCommand:
