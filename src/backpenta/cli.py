@@ -11,8 +11,9 @@ lines must be exactly 7 data lines:
 Entries are integers, exact decimals, or p/q rationals.
 
 Exit codes: 0 success, 1 usage/parse error (including a literal beyond
-the float range in float mode), 2 zero-pivot failure (float/exact modes),
-3 singular system or substitution pole.
+the float range in float mode, and --tol outside float mode), 2 zero-pivot
+failure (float/exact modes), 3 singular system or substitution pole,
+4 check: the banded and the dense solution differ.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from . import __version__
 from .oracle import GeneratorConfig, Singular, dense_solve, generate
 from .ratfunc import PoleAtZero, from_literal
-from .solver import (ZeroPivot, back_substitute, determinant, factor,
-                     factor_symbolic, forward_sweep, solve, solve_symbolic)
+from .solver import (ZeroPivot, factor_symbolic, forward_sweep, solve,
+                     solve_symbolic)
 from .systems import (BackwardPentaSystem, LengthMismatch, SizeTooSmall,
                       densify, new_system, reverse_rows)
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ZERO_PIVOT = 2
 EXIT_SINGULAR = 3
+EXIT_MISMATCH = 4
 
 
 class ParseError(ValueError):
@@ -86,6 +88,10 @@ def _fmt(value) -> str:
 
 
 def cmd_solve(args) -> int:
+    if args.tol is not None and args.mode != "float":
+        print("usage error: --tol applies to --mode float only",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         system = read_system(args.path)
     except ParseError as exc:
@@ -106,25 +112,20 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.dump_factors:
-        lu = _refactor(system, args.mode, args.tol)
+        lu, z = report.factors, report.z
+        if lu is None:  # symbolic: the kernel keeps no factors; use Q(x)
+            p = reverse_rows(system.map_scalars(Fraction))
+            lu = factor_symbolic(p)
+            z = forward_sweep(p, lu)
         print("alpha =", " ".join(_fmt(v) for v in lu.alpha))
         print("beta  =", " ".join(_fmt(v) for v in lu.beta))
         print("gamma =", " ".join(_fmt(v) for v in lu.gamma))
-        print("z     =", " ".join(_fmt(v) for v in report.z))
+        print("z     =", " ".join(_fmt(v) for v in z))
     for xi in report.x:
         print(_fmt(xi))
     if args.det:
         print(f"det(A1) = {_fmt(report.det)}")
     return EXIT_OK
-
-
-def _refactor(system, mode, tol):
-    # Re-derive the factor vectors for --dump-factors output.
-    if mode == "symbolic":
-        lifted = system.map_scalars(Fraction)
-        return factor_symbolic(reverse_rows(lifted))
-    lifted = system.map_scalars(float if mode == "float" else Fraction)
-    return factor(reverse_rows(lifted), tol=tol)
 
 
 def cmd_check(args) -> int:
@@ -166,7 +167,7 @@ def cmd_check(args) -> int:
               else " ".join(_fmt(v) for v in report.x))
         print("oracle:", "singular" if oracle_x is None
               else " ".join(_fmt(v) for v in oracle_x))
-        return EXIT_SINGULAR if banded_err or oracle_err else EXIT_USAGE
+        return EXIT_SINGULAR if banded_err or oracle_err else EXIT_MISMATCH
     print("MATCH")
     print("x:", " ".join(_fmt(v) for v in report.x))
     print(f"mode: {report.mode}")

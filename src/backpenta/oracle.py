@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ratfunc import RationalFunction
 from .solver import factor_symbolic
-from .systems import BackwardPentaSystem, densify, new_system, reverse_rows
+from .systems import BackwardPentaSystem, new_system, reverse_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -178,9 +178,13 @@ def generate(config: GeneratorConfig) -> BackwardPentaSystem:
         bands[fld][idx] = 0
     if config.known_solution:
         sol = [rng.uniform_int(3) for _ in range(n)]
-        probe = new_system(bands["a_tilde"], bands["a"], bands["d"],
-                           bands["b"], bands["b_tilde"], [0] * n)
-        y = [sum(row[j] * sol[j] for j in range(n)) for row in densify(probe)]
+        y = [0] * n
+        # y = A sol in O(n): entry j of a band sits at (row0 + j, col0 - j)
+        for fld, row0, col0 in (("a_tilde", 0, n - 3), ("a", 0, n - 2),
+                                ("d", 0, n - 1), ("b", 1, n - 1),
+                                ("b_tilde", 2, n - 1)):
+            for j, v in enumerate(bands[fld]):
+                y[row0 + j] += v * sol[col0 - j]
     else:
         y = draw(n)
     return new_system(bands["a_tilde"], bands["a"], bands["d"],

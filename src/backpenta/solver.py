@@ -72,7 +72,8 @@ class SolveReport:
     mode: str
     pivot_replacements: tuple = ()
     x_presub: Optional[tuple] = None  # symbolic mode: pre-substitution solution
-    z: tuple = ()
+    z: tuple = ()  # float/exact modes: the forward sweep L z = Y1
+    factors: Optional[LUFactors] = None  # float/exact modes
 
 
 def _zero_test(tol):
@@ -187,19 +188,17 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     mode "exact" lifts all scalars to Fraction; mode "float" to float.
     Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
     also when |beta_i| < tol); the symbolic solver handles those cases.
+    Raises ValueError for tol in exact mode.
     """
-    if mode == "float":
-        lifted = system.map_scalars(float)
-    elif mode == "exact":
-        lifted = system.map_scalars(Fraction)
-        tol = None
-    else:
+    if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
-    p = reverse_rows(lifted)
+    if mode == "exact" and tol is not None:
+        raise ValueError("tol applies to float mode only")
+    p = reverse_rows(system.map_scalars(float if mode == "float" else Fraction))
     lu = factor(p, tol=tol)
     z = forward_sweep(p, lu)
     x = back_substitute(p, lu, z)
-    return SolveReport(x=x, det=determinant(lu), mode=mode, z=z)
+    return SolveReport(x=x, det=determinant(lu), mode=mode, z=z, factors=lu)
 
 
 def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
@@ -214,20 +213,17 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     back_substitute over Q(x), but come from _band_bareiss: replacing
     beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
     of A1 + xE, integer polynomials computed without a gcd. Canonical
-    rational functions are built once per component at the end.
+    rational functions are built only for x_presub, once per component;
+    the report carries no factors and no z (factor_symbolic and
+    forward_sweep give them).
     """
     rows, scales = _a1_rows(system.map_scalars(Fraction))
-    bits, replaced, minors, numers = _band_bareiss(rows, scales)
-    det = _unpack(minors[-1], bits)
+    bits, replaced, det, numers = _band_bareiss(rows, scales)
+    det = _unpack(det, bits)
     numers = [_unpack(v, bits) for v in numers]
     det_poly = Polynomial(det)
     x_presub = tuple(RationalFunction(Polynomial(num), det_poly)
                      for num in numers)
-    # z_k = c_k / (scale_k D_(k-1)), with D_(-1) = 1
-    z = tuple(RationalFunction(
-        Polynomial(_unpack(row[5], bits)),
-        Polynomial(scale * c for c in _unpack(prev, bits)))
-        for row, scale, prev in zip(rows, scales, (1,) + minors))
     # x_k(0) is finite iff x^v divides N_k, v the x-adic order of det.
     v = next(i for i, c in enumerate(det) if c)
     x = []
@@ -240,7 +236,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
         x.append(Fraction(num[v] if v < len(num) else 0, det[v]))
     return SolveReport(x=tuple(x), det=Fraction(det[0], math.prod(scales)),
                        mode="symbolic", pivot_replacements=replaced,
-                       x_presub=x_presub, z=z)
+                       x_presub=x_presub)
 
 
 def _a1_rows(system: BackwardPentaSystem):
@@ -280,14 +276,13 @@ def _band_bareiss(rows: list, scales: list):
     before its pivot. Bareiss would by then have scaled it by D_(k-1);
     that factor cancels the step's division by D_(k-1), so the entering
     row is updated from its original entries with no division. Returns
-    bits, the 1-based replaced pivots, the minors D_0..D_(n-1) and the
+    bits, the 1-based replaced pivots, the determinant D_(n-1) and the
     Cramer numerators N_k = D_(n-1) x_k, all packed.
     """
     n = len(rows)
     bits = math.prod(sum(map(abs, row)) + scale
                      for row, scale in zip(rows, scales)).bit_length() + 1
     replaced = []
-    minors = []
     prev = 1
     for k in range(n):
         piv = rows[k]
@@ -295,7 +290,6 @@ def _band_bareiss(rows: list, scales: list):
         if not p:
             replaced.append(k + 1)
             p = piv[2] = (scales[k] << bits) * prev
-        minors.append(p)
         u1, u2, c = piv[3], piv[4], piv[5]
         if k + 1 < n:
             r = rows[k + 1]
@@ -317,7 +311,7 @@ def _band_bareiss(rows: list, scales: list):
     for k in range(n - 1, -1, -1):
         _, _, dk, u1, u2, c = rows[k]
         numers[k] = (c * prev - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
-    return bits, tuple(replaced), tuple(minors), numers[:n]
+    return bits, tuple(replaced), prev, numers[:n]
 
 
 def _unpack(v: int, bits: int) -> list:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import backpenta
+import backpenta.cli as cli
 from backpenta.cli import (format_system, main, parse_system_text,
                            read_system)
 from backpenta.oracle import GeneratorConfig, generate
@@ -127,6 +128,32 @@ class TestSolveCommand:
         assert "alpha = 1 6 -3 20/7" in out
         assert "z     = 4 30 -28 28 50/3" in out
 
+    def test_dump_factors_symbolic(self, ex32_path, capsys):
+        code = main(["solve", ex32_path, "--mode", "symbolic",
+                     "--dump-factors"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out == [
+            "alpha = 1 (2*x - 4)/(x) (2*x - 1)/(x + 2) (12*x - 8)/(3*x - 4)",
+            "beta  = x (-2*x - 4)/(x) (3*x - 4)/(x + 2) "
+            "(12*x - 12)/(3*x - 4) (9*x - 11)/(3*x - 3)",
+            "gamma = 4/(x) (-x + 3)/(2*x + 4) -8/(3*x - 4) "
+            "(-9*x + 7)/(12*x - 12)",
+            "z     = 5 (14*x - 20)/(x) (27*x - 6)/(x + 2) "
+            "(120*x - 88)/(3*x - 4) (39*x - 55)/(3*x - 3)",
+            "1", "2", "3", "4", "5"]
+
+    def test_dump_factors_float(self, ex31_path, capsys):
+        code = main(["solve", ex31_path, "--mode", "float", "--dump-factors"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out == [
+            "alpha = 1.0 6.0 -3.0 2.857142857142857",
+            "beta  = -1.0 2.0 -7.0 3.4285714285714284 3.333333333333333",
+            "gamma = -4.0 2.0 1.1428571428571428 -0.6666666666666666",
+            "z     = 4.0 30.0 -28.0 28.0 16.666666666666664",
+            "1.0", "2.0", "3.0", "4.0", "5.0"]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("not a system\n")
@@ -135,6 +162,14 @@ class TestSolveCommand:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["solve", "f.txt", "--mode", "quantum"]) == 1
+
+    @pytest.mark.parametrize("mode", ["exact", "symbolic"])
+    def test_tol_outside_float_mode_is_usage_error(self, ex31_path, mode,
+                                                   capsys):
+        assert main(["solve", ex31_path, "--mode", mode, "--tol", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
 
     def test_byte_deterministic(self, ex31_path, capsys):
         main(["solve", ex31_path, "--det"])
@@ -193,6 +228,14 @@ class TestCheckCommand:
         assert out.startswith("SINGULAR: no unique solution")
         assert "MISMATCH" not in out
         assert "mode: symbolic" in out
+
+
+    def test_plain_mismatch_exit_code(self, ex31_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dense_solve",
+                            lambda matrix, rhs: (1, 2, 3, 4, 6))
+        assert main(["check", ex31_path]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["MISMATCH", "banded: 1 2 3 4 5", "oracle: 1 2 3 4 6"]
 
 
 class TestGenCommand:

@@ -4,7 +4,8 @@ import pytest
 
 from backpenta import (GeneratorConfig, Singular, SplitMix64, densify,
                        dense_det, dense_solve, force_interior_zero_pivot,
-                       generate, reverse_rows, solve)
+                       generate, new_system, reverse_rows, solve)
+from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
 
 
@@ -103,6 +104,34 @@ class TestGenerator:
         except ZeroPivot:
             return
         assert x == dense_solve(densify(s), s.y)
+
+
+def _generate_dense(config):
+    # generate() as first written: y = densify(A) * sol, O(n^2)
+    rng = SplitMix64(config.seed)
+    n, m = config.n, config.entry_range
+    bands = [[rng.uniform_int(m) for _ in range(k)]
+             for k in (n - 2, n - 1, n, n - 1, n - 2)]
+    fields = ("a_tilde", "a", "d", "b", "b_tilde")
+    for pos in config.force_zero_pivots:
+        fld, idx = _band_slot(pos, n)
+        bands[fields.index(fld)][idx] = 0
+    sol = [rng.uniform_int(3) for _ in range(n)]
+    dense = densify(new_system(*bands, [0] * n))
+    return new_system(*bands, [sum(row[j] * sol[j] for j in range(n))
+                               for row in dense])
+
+
+class TestGenerateMatchesDenseFormula:
+    @pytest.mark.parametrize("n", [5, 6, 7, 11, 40])
+    def test_identical_systems(self, n):
+        zeros = ((), ("d_n",), ("d_1", "a_1"), ("aa_1", "b_2", "bb_n"))
+        for seed in range(12):
+            for m in (1, 2, 9, 1000):
+                cfg = GeneratorConfig(seed=seed * 7919 + n, n=n,
+                                      entry_range=m,
+                                      force_zero_pivots=zeros[seed % 4])
+                assert generate(cfg) == _generate_dense(cfg)
 
 
 class TestForcedInteriorPivot:

@@ -216,6 +216,10 @@ class TestProperties:
         with pytest.raises(ZeroPivot):
             solve(ex31, mode="float", tol=10.0)
 
+    def test_tolerance_rejected_in_exact_mode(self, ex31):
+        with pytest.raises(ValueError):
+            solve(ex31, mode="exact", tol=5.0)
+
     def test_unknown_mode(self, ex31):
         with pytest.raises(ValueError):
             solve(ex31, mode="symbolic")
