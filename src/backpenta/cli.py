@@ -11,9 +11,10 @@ lines must be exactly 7 data lines:
 Entries are integers, exact decimals, or p/q rationals.
 
 Exit codes: 0 success, 1 usage/parse error (including a literal beyond
-the float range in float mode, and --tol outside float mode), 2 zero-pivot
-failure (float/exact modes), 3 singular system or substitution pole,
-4 check: the banded and the dense solution differ.
+the float range in float mode, --tol outside float mode, and a gen --out
+path that cannot be written), 2 zero-pivot failure (float/exact modes),
+3 singular system or substitution pole, 4 check: the banded and the dense
+solution differ.
 """
 
 from __future__ import annotations
@@ -134,20 +135,18 @@ def cmd_check(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    banded_err = None
     try:
         report = solve(system, mode="exact")
     except ZeroPivot:
         try:
             report = solve_symbolic(system)
-        except PoleAtZero as exc:
-            report, banded_err = None, exc
-    oracle_err = None
+        except PoleAtZero:
+            report = None
     dense = densify(system)
     try:
         oracle_x = dense_solve(dense, system.y)
-    except Singular as exc:
-        oracle_x, oracle_err = None, exc
+    except Singular:
+        oracle_x = None
     if report is None and oracle_x is None:
         print("SINGULAR: both the banded and the dense path report no "
               "unique solution", file=sys.stderr)
@@ -167,7 +166,8 @@ def cmd_check(args) -> int:
               else " ".join(_fmt(v) for v in report.x))
         print("oracle:", "singular" if oracle_x is None
               else " ".join(_fmt(v) for v in oracle_x))
-        return EXIT_SINGULAR if banded_err or oracle_err else EXIT_MISMATCH
+        return (EXIT_SINGULAR if report is None or oracle_x is None
+                else EXIT_MISMATCH)
     print("MATCH")
     print("x:", " ".join(_fmt(v) for v in report.x))
     print(f"mode: {report.mode}")
@@ -187,8 +187,13 @@ def cmd_gen(args) -> int:
               + (f" zero={','.join(args.zero)}" if args.zero else ""))
     text = format_system(system, header)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_OK

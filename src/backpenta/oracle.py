@@ -205,12 +205,11 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
     exact = system.map_scalars(Fraction)
-    lifted = exact.map_scalars(RationalFunction.constant)
-    lu = factor_symbolic(reverse_rows(lifted))
-    beta_i = lu.beta[i - 1]
-    if beta_i.num.degree > 0 or beta_i.den.degree > 0:
-        return None
-    shift = beta_i.eval_at_zero()
+    beta_i = factor_symbolic(reverse_rows(exact)).beta[i - 1]
+    if isinstance(beta_i, RationalFunction):  # after an earlier replacement
+        if beta_i.num.degree > 0 or beta_i.den.degree > 0:
+            return None
+        beta_i = beta_i.eval_at_zero()
     d = list(exact.d)
-    d[n - i] -= shift  # d_(n-i+1)
+    d[n - i] -= beta_i  # d_(n-i+1)
     return new_system(exact.a_tilde, exact.a, d, exact.b, exact.b_tilde, exact.y)

@@ -76,49 +76,36 @@ class SolveReport:
     factors: Optional[LUFactors] = None  # float/exact modes
 
 
-def _zero_test(tol):
-    if tol is None:
-        return lambda s: not s
-    return lambda s: not s or abs(s) < tol
-
-
 def factor(system: PentaSystem, tol=None) -> LUFactors:
     """LU-factor A1; raises ZeroPivot(i) at the first zero pivot.
 
     With tol set (float mode), pivots smaller than tol in magnitude also
     count as zero. No row exchanges are ever performed.
     """
-    is_zero = _zero_test(tol)
-
-    def fail(i):
-        raise ZeroPivot(i)
-
-    return _factor(system, is_zero, fail)
+    return _factor(system, tol, None)
 
 
 def factor_symbolic(system: PentaSystem) -> LUFactors:
     """Factor over the rational-function field, substituting the
     placeholder symbol for each identically zero pivot as it appears."""
-    sym = RationalFunction.x()
-    hits = []
-
-    def replace(i):
-        hits.append(i)
-        return sym
-
-    lu = _factor(system, lambda s: not s, replace)
-    return LUFactors(lu.n, lu.alpha, lu.beta, lu.gamma, tuple(hits))
+    return _factor(system, None, RationalFunction.x())
 
 
-def _factor(sys: PentaSystem, is_zero, on_zero) -> LUFactors:
+def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
     n = sys.n
     at, a, d, b, bt = sys.a_tilde, sys.a, sys.d, sys.b, sys.b_tilde
     alpha = [None] * (n - 1)
     beta = [None] * n
     gamma = [None] * (n - 1)  # gamma[i-2] = gamma_i
+    hits = []
 
-    def checked(i, value):
-        return on_zero(i) if is_zero(value) else value
+    def checked(i, s):
+        if not s or (tol is not None and abs(s) < tol):
+            if sym is None:
+                raise ZeroPivot(i)
+            hits.append(i)
+            return sym
+        return s
 
     beta[0] = checked(1, d[n - 1])
     gamma[0] = a[n - 2] / beta[0]
@@ -135,7 +122,7 @@ def _factor(sys: PentaSystem, is_zero, on_zero) -> LUFactors:
     gamma[n - 2] = (a[0] - mult * alpha[n - 3]) / beta[n - 2]
     beta[n - 1] = checked(n, d[0] - mult * bt[0] - alpha[n - 2] * gamma[n - 2])
 
-    return LUFactors(n, tuple(alpha), tuple(beta), tuple(gamma))
+    return LUFactors(n, tuple(alpha), tuple(beta), tuple(gamma), tuple(hits))
 
 
 def forward_sweep(system: PentaSystem, lu: LUFactors) -> tuple:
@@ -167,9 +154,7 @@ def back_substitute(system: PentaSystem, lu: LUFactors, z) -> tuple:
 def determinant(lu: LUFactors):
     """det(A1) as the product of the pivots; in symbolic mode the product
     is evaluated at placeholder = 0 before reporting."""
-    det = lu.beta[0]
-    for b in lu.beta[1:]:
-        det = det * b
+    det = math.prod(lu.beta[1:], start=lu.beta[0])
     if isinstance(det, RationalFunction):
         det = det.eval_at_zero()
     return det

@@ -41,6 +41,9 @@ def _check_lengths(n, a_tilde, a, d, b, b_tilde, y):
                 f"vector {name}: expected length {want} for n={n}, got {len(vec)}")
 
 
+_FIELDS = ("a_tilde", "a", "d", "b", "b_tilde", "y")
+
+
 @dataclass(frozen=True)
 class BackwardPentaSystem:
     """The system AX=Y with A backward pentadiagonal, stored as five bands."""
@@ -53,7 +56,7 @@ class BackwardPentaSystem:
     y: tuple
 
     def __post_init__(self):
-        for field in ("a_tilde", "a", "d", "b", "b_tilde", "y"):
+        for field in _FIELDS:
             object.__setattr__(self, field, tuple(getattr(self, field)))
         _check_lengths(len(self.d), self.a_tilde, self.a, self.d,
                        self.b, self.b_tilde, self.y)
@@ -65,13 +68,7 @@ class BackwardPentaSystem:
     def map_scalars(self, fn) -> "BackwardPentaSystem":
         """Apply fn to every stored scalar (band entries and rhs)."""
         return BackwardPentaSystem(
-            tuple(fn(v) for v in self.a_tilde),
-            tuple(fn(v) for v in self.a),
-            tuple(fn(v) for v in self.d),
-            tuple(fn(v) for v in self.b),
-            tuple(fn(v) for v in self.b_tilde),
-            tuple(fn(v) for v in self.y),
-        )
+            *(tuple(map(fn, getattr(self, f))) for f in _FIELDS))
 
 
 @dataclass(frozen=True)

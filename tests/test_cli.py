@@ -9,7 +9,8 @@ import backpenta
 import backpenta.cli as cli
 from backpenta.cli import (format_system, main, parse_system_text,
                            read_system)
-from backpenta.oracle import GeneratorConfig, generate
+from backpenta.oracle import GeneratorConfig, Singular, generate
+from backpenta.ratfunc import PoleAtZero
 from backpenta.systems import new_system
 
 EX31_FILE = """\
@@ -237,6 +238,22 @@ class TestCheckCommand:
         out = capsys.readouterr().out.splitlines()
         assert out == ["MISMATCH", "banded: 1 2 3 4 5", "oracle: 1 2 3 4 6"]
 
+    def test_oracle_singular_only(self, ex31_path, capsys, monkeypatch):
+        def singular(matrix, rhs):
+            raise Singular("forced")
+        monkeypatch.setattr(cli, "dense_solve", singular)
+        assert main(["check", ex31_path]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["MISMATCH", "banded: 1 2 3 4 5", "oracle: singular"]
+
+    def test_banded_singular_only(self, app2_path, capsys, monkeypatch):
+        def pole(system):
+            raise PoleAtZero("forced")
+        monkeypatch.setattr(cli, "solve_symbolic", pole)
+        assert main(["check", app2_path]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["MISMATCH", "banded: singular", "oracle: 1 1 1 1 1 1"]
+
 
 class TestGenCommand:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -260,3 +277,9 @@ class TestGenCommand:
 
     def test_gen_usage_error(self, capsys):
         assert main(["gen", "--seed", "1", "--n", "3"]) == 1
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert main(["gen", "--seed", "1", "--n", "6", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")

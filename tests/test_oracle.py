@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, Singular, SplitMix64, densify,
-                       dense_det, dense_solve, force_interior_zero_pivot,
-                       generate, new_system, reverse_rows, solve)
+from backpenta import (GeneratorConfig, RationalFunction, Singular,
+                       SplitMix64, densify, dense_det, dense_solve,
+                       force_interior_zero_pivot, generate, new_system,
+                       reverse_rows, solve)
 from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
 
@@ -143,3 +144,35 @@ class TestForcedInteriorPivot:
             pytest.skip("earlier pivot already zero for this seed")
         lu = factor_symbolic(reverse_rows(forced))
         assert i in lu.replacements
+
+
+def _force_lifted(system, i):
+    # force_interior_zero_pivot as first written: every scalar lifted into
+    # Q(x) before factor_symbolic
+    n = system.n
+    exact = system.map_scalars(Fraction)
+    lifted = exact.map_scalars(RationalFunction.constant)
+    beta_i = factor_symbolic(reverse_rows(lifted)).beta[i - 1]
+    if beta_i.num.degree > 0 or beta_i.den.degree > 0:
+        return None
+    d = list(exact.d)
+    d[n - i] -= beta_i.eval_at_zero()
+    return new_system(exact.a_tilde, exact.a, d, exact.b, exact.b_tilde, exact.y)
+
+
+class TestForcedInteriorMatchesLiftedFormula:
+    @pytest.mark.parametrize("n", [5, 6, 7, 9])
+    def test_identical_systems(self, n):
+        zeros = ((), ("d_n",), ("d_1",), ("a_1", "b_2"))
+        for seed in range(80):
+            for m in (1, 2, 9):
+                cfg = GeneratorConfig(seed=seed * 7919 + n, n=n, entry_range=m,
+                                      force_zero_pivots=zeros[seed % 4])
+                base, i = generate(cfg), 2 + seed % (n - 1)
+                assert force_interior_zero_pivot(base, i) == _force_lifted(base, i)
+
+    def test_identical_systems_n40(self):
+        for seed in range(20):
+            for m in (1, 9):
+                base = generate(GeneratorConfig(seed=seed, n=40, entry_range=m))
+                assert force_interior_zero_pivot(base, 20) == _force_lifted(base, 20)

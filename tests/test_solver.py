@@ -8,6 +8,7 @@ from backpenta import (GeneratorConfig, IdenticallySingular, RationalFunction,
                        factor_symbolic, force_interior_zero_pivot,
                        forward_sweep, generate, new_system, reverse_rows,
                        solve, solve_symbolic)
+from backpenta.instrument import CountingScalar, OpCounter
 
 F = Fraction
 
@@ -46,6 +47,7 @@ class TestGoldenFactorization:
         assert lu.beta == (-1, 2, -7, F(24, 7), F(10, 3))
         assert lu.gamma == (-4, 2, F(8, 7), F(-2, 3))
         assert lu.alpha == (1, 6, -3, F(20, 7))
+        assert lu.replacements == ()
 
     def test_sweep_and_solution(self, ex31):
         report = solve(ex31, mode="exact")
@@ -215,6 +217,24 @@ class TestProperties:
     def test_float_tolerance_flag(self, ex31):
         with pytest.raises(ZeroPivot):
             solve(ex31, mode="float", tol=10.0)
+
+    def test_float_tolerance_is_strict(self, ex31):
+        # |beta_1| = 1: a pivot counts as zero only when |beta_i| < tol
+        assert solve(ex31, mode="float", tol=1.0).x == solve(ex31, mode="float").x
+        with pytest.raises(ZeroPivot) as exc:
+            solve(ex31, mode="float", tol=1.000001)
+        assert exc.value.index == 1
+
+    def test_operation_count(self):
+        # the exact count at one n; acceptance criterion 7 checks only that
+        # the count grows linearly
+        counter = OpCounter()
+        s = generate(GeneratorConfig(seed=7, n=100))
+        p = reverse_rows(s.map_scalars(lambda v: CountingScalar(float(v), counter)))
+        lu = factor(p)
+        back_substitute(p, lu, forward_sweep(p, lu))
+        determinant(lu)
+        assert counter.count == 2068
 
     def test_tolerance_rejected_in_exact_mode(self, ex31):
         with pytest.raises(ValueError):
