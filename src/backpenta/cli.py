@@ -12,14 +12,16 @@ Entries are integers, exact decimals, or p/q rationals.
 
 Exit codes: 0 success, 1 usage/parse error (including a literal beyond
 the float range in float mode, --tol outside float mode, and a gen --out
-path that cannot be written), 2 zero-pivot failure (float/exact modes),
-3 singular system or substitution pole, 4 check: the banded and the dense
-solution differ.
+path that cannot be written) or stdout closed early by its reader (a pipe
+into `head`; nothing is printed to stderr), 2 zero-pivot failure
+(float/exact modes), 3 singular system or substitution pole, 4 check: the
+banded and the dense solution differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -250,4 +252,12 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head -1`). Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ratfunc import RationalFunction
 from .solver import factor_symbolic
-from .systems import BackwardPentaSystem, new_system, reverse_rows
+from .systems import BANDS, BackwardPentaSystem, new_system, reverse_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -115,9 +115,7 @@ def dense_det(matrix) -> Fraction:
     return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
-_BAND_LENGTHS = {"aa": -2, "a": -1, "d": 0, "b": -1, "bb": -2}
-_BAND_FIELDS = {"aa": "a_tilde", "a": "a", "d": "d", "b": "b", "bb": "b_tilde"}
-_BAND_BASE = {"aa": 1, "a": 1, "d": 1, "b": 2, "bb": 3}
+_BAND_NAMES = dict(zip(("aa", "a", "d", "b", "bb"), BANDS))
 
 
 def _band_slot(pos: str, n: int):
@@ -128,14 +126,14 @@ def _band_slot(pos: str, n: int):
     """
     try:
         band, idx = pos.rsplit("_", 1)
-        length = n + _BAND_LENGTHS[band]
+        field, k = _BAND_NAMES[band]
     except (ValueError, KeyError):
         raise ValueError(f"bad band position {pos!r}") from None
-    first = _BAND_BASE[band]
+    first = 1 + max(k, 0)
     i = n if idx == "n" else int(idx)
-    if not first <= i <= first + length - 1:
+    if not first <= i < first + n - abs(k):
         raise ValueError(f"band position {pos!r} out of range for n={n}")
-    return _BAND_FIELDS[band], i - first
+    return field, i - first
 
 
 @dataclass(frozen=True)
@@ -165,30 +163,23 @@ def generate(config: GeneratorConfig) -> BackwardPentaSystem:
     """Produce the system determined by the config (same seed, same system)."""
     rng = SplitMix64(config.seed)
     n, m = config.n, config.entry_range
-    draw = lambda k: [rng.uniform_int(m) for _ in range(k)]
-    bands = {
-        "a_tilde": draw(n - 2),
-        "a": draw(n - 1),
-        "d": draw(n),
-        "b": draw(n - 1),
-        "b_tilde": draw(n - 2),
-    }
+    draw = lambda count: [rng.uniform_int(m) for _ in range(count)]
+    bands = {field: draw(n - abs(k)) for field, k in BANDS}
     for pos in config.force_zero_pivots:
-        fld, idx = _band_slot(pos, n)
-        bands[fld][idx] = 0
+        field, idx = _band_slot(pos, n)
+        bands[field][idx] = 0
     if config.known_solution:
         sol = [rng.uniform_int(3) for _ in range(n)]
         y = [0] * n
         # y = A sol in O(n): entry j of a band sits at (row0 + j, col0 - j)
-        for fld, row0, col0 in (("a_tilde", 0, n - 3), ("a", 0, n - 2),
-                                ("d", 0, n - 1), ("b", 1, n - 1),
-                                ("b_tilde", 2, n - 1)):
-            for j, v in enumerate(bands[fld]):
+        for field, k in BANDS:
+            row0 = max(k, 0)
+            col0 = n - 1 - row0 + k
+            for j, v in enumerate(bands[field]):
                 y[row0 + j] += v * sol[col0 - j]
     else:
         y = draw(n)
-    return new_system(bands["a_tilde"], bands["a"], bands["d"],
-                      bands["b"], bands["b_tilde"], y)
+    return new_system(**bands, y=y)
 
 
 def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):

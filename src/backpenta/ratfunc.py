@@ -140,8 +140,6 @@ class Polynomial:
         quo = [Fraction(0)] * (dq + 1)
         dlead = other.leading
         for k in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + k:
-                continue
             c = rem[len(other.coeffs) + k - 1] / dlead
             quo[k] = c
             if c:
@@ -309,10 +307,10 @@ class RationalFunction:
 
     def eval_at_zero(self) -> Fraction:
         """Value at the placeholder = 0; the symbolic algorithm's final step."""
-        d0 = self.den.evaluate(0)
-        if d0 == 0:
+        num, den = self.num.coeffs, self.den.coeffs
+        if not den[0]:
             raise PoleAtZero(f"pole at 0 in {self}")
-        return self.num.evaluate(0) / d0
+        return num[0] / den[0] if num else Fraction(0)
 
     def evaluate(self, t) -> Fraction:
         d = self.den.evaluate(t)

@@ -192,15 +192,15 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     Each identically-zero pivot becomes the placeholder symbol; the
     solution components and the determinant are then evaluated at
     placeholder = 0. Raises PoleAtZero when that substitution hits a pole
-    (IdenticallySingular when the failing pivot is beta_n itself).
+    (IdenticallySingular when beta_n itself was replaced).
 
     The values equal those of factor_symbolic, forward_sweep and
     back_substitute over Q(x), but come from _band_bareiss: replacing
     beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
     of A1 + xE, integer polynomials computed without a gcd. Canonical
-    rational functions are built only for x_presub, once per component;
-    the report carries no factors and no z (factor_symbolic and
-    forward_sweep give them).
+    rational functions are built only for x_presub, once per component,
+    and x is their eval_at_zero; the report carries no factors and no z
+    (factor_symbolic and forward_sweep give them).
     """
     rows, scales = _a1_rows(system.map_scalars(Fraction))
     bits, replaced, det, numers = _band_bareiss(rows, scales)
@@ -209,17 +209,14 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     det_poly = Polynomial(det)
     x_presub = tuple(RationalFunction(Polynomial(num), det_poly)
                      for num in numers)
-    # x_k(0) is finite iff x^v divides N_k, v the x-adic order of det.
-    v = next(i for i, c in enumerate(det) if c)
-    x = []
-    for num, xi in zip(numers, x_presub):
-        if any(num[:v]):
-            if system.n in replaced:
-                raise IdenticallySingular(f"beta[{system.n}] is identically "
-                                          "zero; no finite solution")
-            raise PoleAtZero(f"pole at 0 in {xi}")
-        x.append(Fraction(num[v] if v < len(num) else 0, det[v]))
-    return SolveReport(x=tuple(x), det=Fraction(det[0], math.prod(scales)),
+    try:
+        x = tuple(f.eval_at_zero() for f in x_presub)
+    except PoleAtZero:
+        if system.n in replaced:
+            raise IdenticallySingular(f"beta[{system.n}] is identically "
+                                      "zero; no finite solution") from None
+        raise
+    return SolveReport(x=x, det=Fraction(det[0], math.prod(scales)),
                        mode="symbolic", pivot_replacements=replaced,
                        x_presub=x_presub)
 

@@ -1,20 +1,12 @@
 """Backward pentadiagonal system representation and row-reversal.
 
 A backward pentadiagonal matrix has its five nonzero bands along and
-adjacent to the anti-diagonal. It is stored in five vectors (5n-6 scalars).
-Internal indexing is 0-based; the correspondence to the conventional
-1-based band symbols is:
-
-    band        length   internal -> 1-based
-    a_tilde     n-2      a_tilde[j]  = a~_(j+1),   j = 0..n-3
-    a           n-1      a[j]        = a_(j+1),    j = 0..n-2
-    d           n        d[j]        = d_(j+1),    j = 0..n-1
-    b           n-1      b[j]        = b_(j+2),    j = 0..n-2
-    b_tilde     n-2      b_tilde[j]  = b~_(j+3),   j = 0..n-3
-
-so e.g. internal b[0] is b_2 and b_tilde[0] is b_3. Scalars are generic:
-int, Fraction, float, or RationalFunction all work, as long as the usual
-arithmetic operators are defined.
+adjacent to the anti-diagonal. It is stored in five vectors (5n-6 scalars)
+laid out as BANDS states. Internal indexing is 0-based: entry j of band k
+is the conventional 1-based symbol with subscript j + 1 + max(k, 0), so
+e.g. internal a[0] is a_1, b[0] is b_2 and b_tilde[0] is b~_3. Scalars are
+generic: int, Fraction, float, or RationalFunction all work, as long as
+the usual arithmetic operators are defined.
 """
 
 from __future__ import annotations
@@ -30,18 +22,20 @@ class LengthMismatch(ValueError):
     """A band or right-hand-side vector has the wrong length for n."""
 
 
-def _check_lengths(n, a_tilde, a, d, b, b_tilde, y):
+# (field, k): band k lies k places right of the anti-diagonal and has
+# n - |k| entries; entry j sits in 0-based row r = j + max(k, 0) and
+# column n - 1 - r + k.
+BANDS = (("a_tilde", -2), ("a", -1), ("d", 0), ("b", 1), ("b_tilde", 2))
+_FIELDS = (*(field for field, _ in BANDS), "y")
+
+
+def _check_lengths(n, *vectors):
     if n < 5:
         raise SizeTooSmall(f"system size must be >= 5, got n={n}")
-    for name, vec, want in (("a_tilde", a_tilde, n - 2), ("a", a, n - 1),
-                            ("d", d, n), ("b", b, n - 1),
-                            ("b_tilde", b_tilde, n - 2), ("y", y, n)):
-        if len(vec) != want:
-            raise LengthMismatch(
-                f"vector {name}: expected length {want} for n={n}, got {len(vec)}")
-
-
-_FIELDS = ("a_tilde", "a", "d", "b", "b_tilde", "y")
+    for (name, k), vec in zip((*BANDS, ("y", 0)), vectors):
+        if len(vec) != n - abs(k):
+            raise LengthMismatch(f"vector {name}: expected length "
+                                 f"{n - abs(k)} for n={n}, got {len(vec)}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ class PentaSystem:
     y1: tuple
 
     def __post_init__(self):
-        for field in ("a_tilde", "a", "d", "b", "b_tilde", "y1"):
+        for field in (*_FIELDS[:-1], "y1"):
             object.__setattr__(self, field, tuple(getattr(self, field)))
         _check_lengths(len(self.d), self.a_tilde, self.a, self.d,
                        self.b, self.b_tilde, self.y1)
@@ -111,27 +105,16 @@ def reverse_rows(system: BackwardPentaSystem) -> PentaSystem:
 def laplacian_system(n: int, y) -> BackwardPentaSystem:
     """Backward pentadiagonal form of the 2-D Laplacian stencil: -4 on the
     anti-diagonal, 1 on the four adjacent bands."""
-    y = tuple(y)
-    return BackwardPentaSystem((1,) * (n - 2), (1,) * (n - 1), (-4,) * n,
-                               (1,) * (n - 1), (1,) * (n - 2), y)
+    return BackwardPentaSystem(
+        *((1 if k else -4,) * (n - abs(k)) for _, k in BANDS), y)
 
 
 def densify(system) -> list:
     """Expand to a dense n x n row-major matrix (zeros off the five bands)."""
-    if isinstance(system, PentaSystem):
-        back = BackwardPentaSystem(system.a_tilde, system.a, system.d,
-                                   system.b, system.b_tilde, system.y1)
-        return list(reversed(densify(back)))
     n = system.n
     m = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):  # 1-based row index, anti-diagonal layout
-        m[i - 1][n - i] = system.d[i - 1]
-        if i <= n - 1:
-            m[i - 1][n - i - 1] = system.a[i - 1]
-        if i <= n - 2:
-            m[i - 1][n - i - 2] = system.a_tilde[i - 1]
-        if i >= 2:
-            m[i - 1][n - i + 1] = system.b[i - 2]
-        if i >= 3:
-            m[i - 1][n - i + 2] = system.b_tilde[i - 3]
-    return m
+    for field, k in BANDS:
+        for j, v in enumerate(getattr(system, field)):
+            r = j + max(k, 0)
+            m[r][n - 1 - r + k] = v
+    return m[::-1] if isinstance(system, PentaSystem) else m

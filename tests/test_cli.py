@@ -196,6 +196,24 @@ class TestSolveCommand:
         assert done.stdout.splitlines() == ["1", "2", "3", "4", "5",
                                             "det(A1) = 160"]
 
+    @pytest.mark.parametrize("n", [5, 400])  # fails at exit flush / in print
+    def test_closed_stdout_pipe(self, tmp_path, n):
+        path = tmp_path / "sys.txt"
+        path.write_text(format_system(generate(
+            GeneratorConfig(seed=1, n=n, force_zero_pivots=("d_n",)))))
+        src = os.path.dirname(os.path.dirname(backpenta.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "backpenta", "solve", str(path),
+                 "--mode", "symbolic"], stdout=write_end,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
 
 class TestCheckCommand:
     def test_match(self, ex31_path, capsys):

@@ -123,6 +123,40 @@ def _generate_dense(config):
                                for row in dense])
 
 
+_OLD_LENGTHS = {"aa": -2, "a": -1, "d": 0, "b": -1, "bb": -2}
+_OLD_FIELDS = {"aa": "a_tilde", "a": "a", "d": "d", "b": "b", "bb": "b_tilde"}
+_OLD_BASE = {"aa": 1, "a": 1, "d": 1, "b": 2, "bb": 3}
+
+
+def _band_slot_dicts(pos, n):
+    # _band_slot as first written, over three per-band dicts
+    try:
+        band, idx = pos.rsplit("_", 1)
+        length = n + _OLD_LENGTHS[band]
+    except (ValueError, KeyError):
+        raise ValueError(pos) from None
+    first = _OLD_BASE[band]
+    i = n if idx == "n" else int(idx)
+    if not first <= i <= first + length - 1:
+        raise ValueError(pos)
+    return _OLD_FIELDS[band], i - first
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_band_slot_matches_dicts(n):
+    positions = [f"{band}_{idx}" for band in ("aa", "a", "d", "b", "bb")
+                 for idx in [*range(n + 2), "n"]]
+    positions += ["d", "c_1", "dd_2", "_1", "b_x"]
+    for pos in positions:
+        try:
+            want = _band_slot_dicts(pos, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _band_slot(pos, n)
+        else:
+            assert _band_slot(pos, n) == want, pos
+
+
 class TestGenerateMatchesDenseFormula:
     @pytest.mark.parametrize("n", [5, 6, 7, 11, 40])
     def test_identical_systems(self, n):

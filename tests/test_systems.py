@@ -93,3 +93,32 @@ def test_densify_reverse_round_trip_random(seed):
     assert densify(reverse_rows(s)) == list(reversed(densify(s)))
     nonzeros = sum(1 for row in densify(s) for v in row if v != 0)
     assert nonzeros <= 5 * s.n - 6
+
+
+def _densify_chain(system):
+    # densify as first written: a 1-based if-chain over the anti-diagonal
+    n = system.n
+    m = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        m[i - 1][n - i] = system.d[i - 1]
+        if i <= n - 1:
+            m[i - 1][n - i - 1] = system.a[i - 1]
+        if i <= n - 2:
+            m[i - 1][n - i - 2] = system.a_tilde[i - 1]
+        if i >= 2:
+            m[i - 1][n - i + 1] = system.b[i - 2]
+        if i >= 3:
+            m[i - 1][n - i + 2] = system.b_tilde[i - 3]
+    return m
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_densify_matches_if_chain(n):
+    # entry j of band number t (a_tilde = 1 .. b_tilde = 5) is 100*t + j + 1
+    bands = [[100 * t + j + 1 for j in range(length)]
+             for t, length in enumerate((n - 2, n - 1, n, n - 1, n - 2), 1)]
+    s = new_system(*bands, range(n))
+    want = _densify_chain(s)
+    assert densify(s) == want
+    assert densify(reverse_rows(s)) == want[::-1]
+    assert sum(1 for row in want for v in row if v) == 5 * n - 6
