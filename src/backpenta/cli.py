@@ -1,7 +1,8 @@
 """Command-line front end: solve, check and gen on system files.
 
-System file format: '#'-prefixed comment lines are ignored; the remaining
-lines must be exactly 7 data lines:
+System file format: UTF-8 text (a leading byte-order mark is ignored);
+'#'-prefixed comment lines are ignored; the remaining lines must be
+exactly 7 data lines:
 
     line 1: n
     lines 2-6: the bands a~ (n-2 entries), a (n-1), d (n), b (n-1),
@@ -60,17 +61,20 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
     if len(vectors[2]) != n:
         raise ParseError(f"d line has {len(vectors[2])} entries but n={n}")
     try:
-        return new_system(*vectors[:5], vectors[5])
+        return new_system(*vectors)
     except (SizeTooSmall, LengthMismatch) as exc:
         raise ParseError(str(exc)) from None
 
 
 def read_system(path: str) -> BackwardPentaSystem:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_system_text(fh.read())
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_system_text(text)
 
 
 def format_system(system: BackwardPentaSystem, header: str = "") -> str:
@@ -80,14 +84,8 @@ def format_system(system: BackwardPentaSystem, header: str = "") -> str:
     out.append(str(system.n))
     for vec in (system.a_tilde, system.a, system.d, system.b,
                 system.b_tilde, system.y):
-        out.append(" ".join(_fmt(v) for v in vec))
+        out.append(" ".join(map(str, vec)))
     return "\n".join(out) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def cmd_solve(args) -> int:
@@ -106,7 +104,7 @@ def cmd_solve(args) -> int:
         else:
             report = solve(system, mode=args.mode, tol=args.tol)
     except ZeroPivot as exc:
-        print(f"zero pivot beta[{exc.index}]", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_ZERO_PIVOT
     except PoleAtZero as exc:
         print(f"singular: {exc}", file=sys.stderr)
@@ -120,14 +118,14 @@ def cmd_solve(args) -> int:
             p = reverse_rows(system.map_scalars(Fraction))
             lu = factor_symbolic(p)
             z = forward_sweep(p, lu)
-        print("alpha =", " ".join(_fmt(v) for v in lu.alpha))
-        print("beta  =", " ".join(_fmt(v) for v in lu.beta))
-        print("gamma =", " ".join(_fmt(v) for v in lu.gamma))
-        print("z     =", " ".join(_fmt(v) for v in z))
+        print("alpha =", *lu.alpha)
+        print("beta  =", *lu.beta)
+        print("gamma =", *lu.gamma)
+        print("z     =", *z)
     for xi in report.x:
-        print(_fmt(xi))
+        print(xi)
     if args.det:
-        print(f"det(A1) = {_fmt(report.det)}")
+        print(f"det(A1) = {report.det}")
     return EXIT_OK
 
 
@@ -159,19 +157,19 @@ def cmd_check(args) -> int:
         # consistent singular system: a solution exists, but not a unique one
         print("SINGULAR: no unique solution; the banded path found a "
               "solution with det(A1) = 0")
-        print("x:", " ".join(_fmt(v) for v in report.x))
+        print("x:", *report.x)
         print(f"mode: {report.mode}")
         return EXIT_SINGULAR
     if report is None or oracle_x is None or tuple(report.x) != tuple(oracle_x):
         print("MISMATCH")
         print("banded:", "singular" if report is None
-              else " ".join(_fmt(v) for v in report.x))
+              else " ".join(map(str, report.x)))
         print("oracle:", "singular" if oracle_x is None
-              else " ".join(_fmt(v) for v in oracle_x))
+              else " ".join(map(str, oracle_x)))
         return (EXIT_SINGULAR if report is None or oracle_x is None
                 else EXIT_MISMATCH)
     print("MATCH")
-    print("x:", " ".join(_fmt(v) for v in report.x))
+    print("x:", *report.x)
     print(f"mode: {report.mode}")
     return EXIT_OK
 

@@ -122,13 +122,15 @@ def _band_slot(pos: str, n: int):
     """Parse a band position like 'd_n', 'd_3' or 'bb_4' to (field, index).
 
     Band names: aa (a_tilde), a, d, b, bb (b_tilde); the index is the
-    conventional 1-based subscript or the letter n.
+    conventional 1-based subscript in ASCII digits or the letter n.
     """
     try:
         band, idx = pos.rsplit("_", 1)
         field, k = _BAND_NAMES[band]
     except (ValueError, KeyError):
         raise ValueError(f"bad band position {pos!r}") from None
+    if idx != "n" and not (idx.isascii() and idx.isdigit()):
+        raise ValueError(f"bad band position {pos!r}")
     first = 1 + max(k, 0)
     i = n if idx == "n" else int(idx)
     if not first <= i < first + n - abs(k):

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-ScalarLike = Union[int, Fraction, "Polynomial", "RationalFunction"]
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -68,11 +65,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -156,8 +153,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
@@ -208,12 +203,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, Polynomial):
-            num = Polynomial.constant(num)
         if den is None:
             den = Polynomial.constant(1)
-        elif not isinstance(den, Polynomial):
-            den = Polynomial.constant(den)
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero:
@@ -254,8 +245,6 @@ class RationalFunction:
             return other
         if isinstance(other, (int, Fraction)):
             return RationalFunction.constant(other)
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -334,12 +323,8 @@ class RationalFunction:
         denom_lcm = math.lcm(*(c.denominator for c in coeffs))
         num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator)
                              for c in coeffs))
-        mult = Fraction(denom_lcm, num_gcd or 1)
-        num = self.num.scale(mult)
-        den = self.den.scale(mult)
-        if not den.is_zero and den.leading < 0:
-            num, den = num.scale(-1), den.scale(-1)
-        return num, den
+        mult = Fraction(denom_lcm, num_gcd)
+        return self.num.scale(mult), self.den.scale(mult)
 
     def __str__(self):
         if self.is_zero:

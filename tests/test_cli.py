@@ -11,6 +11,7 @@ from backpenta.cli import (format_system, main, parse_system_text,
                            read_system)
 from backpenta.oracle import GeneratorConfig, Singular, generate
 from backpenta.ratfunc import PoleAtZero
+from backpenta.solver import solve
 from backpenta.systems import new_system
 
 EX31_FILE = """\
@@ -43,6 +44,11 @@ APP2_FILE = """\
 -5 -7 3 -10
 6 9 8 1 6 -9
 """
+
+# beta_5 replaced and still identically zero; the dense matrix is singular
+_IDENTICALLY_SINGULAR = generate(GeneratorConfig(
+    seed=1, n=5, entry_range=1, force_zero_pivots=("d_n",),
+    known_solution=False))
 
 
 @pytest.fixture
@@ -92,6 +98,21 @@ class TestParsing:
     def test_read_missing_file(self):
         with pytest.raises(ValueError):
             read_system("/nonexistent/system.txt")
+
+    def test_utf8_byte_order_mark_ignored(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbf" + EX31_FILE.encode())
+        assert read_system(str(p)) == parse_system_text(EX31_FILE)
+
+    def test_non_utf8_byte_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(EX31_FILE.replace("size", "taill\xe9").encode("latin-1"))
+        with pytest.raises(cli.ParseError, match="^cannot read "):
+            read_system(str(p))
+        assert main(["solve", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {p}: ")
+        assert captured.out == ""
 
 
 class TestSolveCommand:
@@ -155,6 +176,61 @@ class TestSolveCommand:
             "z     = 4.0 30.0 -28.0 28.0 16.666666666666664",
             "1.0", "2.0", "3.0", "4.0", "5.0"]
 
+    @pytest.mark.parametrize("d, y, want", [
+        # x needs all 17 significant digits of repr
+        ("1 2 2 -2 -1", "1 0 0 0 0", [
+            "alpha = 1.0 6.0 -3.0 2.857142857142857",
+            "beta  = -1.0 2.0 -7.0 3.4285714285714284 3.333333333333333",
+            "gamma = -4.0 2.0 1.1428571428571428 -0.6666666666666666",
+            "z     = 0.0 0.0 0.0 0.0 1.0",
+            "-0.05000000000000007", "-0.20000000000000012",
+            "0.15000000000000005", "-0.25000000000000006",
+            "0.30000000000000004", "det(A1) = 160.0"]),
+        # the product of the pivots overflows
+        ("1e200 1e200 1e200 1e200 1e200", "1 2 3 4 5", [
+            "alpha = 1.0 2.0 1.0 4.0",
+            "beta  = 1e+200 1e+200 1e+200 1e+200 1e+200",
+            "gamma = 4e-200 1e-200 -2e-200 -1e-200",
+            "z     = 5.0 4.0 3.0 2.0 1.0",
+            "5e-200", "4e-200", "3e-200", "2e-200", "1e-200",
+            "det(A1) = inf"]),
+    ])
+    def test_float_values_print_as_repr(self, tmp_path, capsys, d, y, want):
+        p = tmp_path / "sys.txt"
+        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", d)
+                     .replace("10 26 20 14 4", y))
+        code = main(["solve", str(p), "--mode", "float", "--det",
+                     "--dump-factors"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out == want
+        report = solve(read_system(str(p)), mode="float")
+        assert out[4:9] == [repr(v) for v in report.x]
+
+    @pytest.mark.parametrize("old, new, first_err", [
+        ("5\n3 2 3", "5.5\n3 2 3", "error: first data line must be n"),
+        ("3 2 3", "3 2 q", "error: invalid scalar literal"),
+        (EX31_FILE, "4\n3 2\n-1 -2 1\n1 2 2 -2\n4 1 2\n1 2\n1 2 3 4\n",
+         "error: system size must be >= 5"),
+        ("3 2 3", "3 2 3 3", "error: vector a_tilde: expected length "),
+    ])
+    def test_bad_file_exit_paths(self, tmp_path, capsys, old, new, first_err):
+        p = tmp_path / "bad.txt"
+        p.write_text(EX31_FILE.replace(old, new))
+        assert main(["solve", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith(first_err)
+        assert captured.out == ""
+
+    def test_identically_singular_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "singular.txt"
+        p.write_text(format_system(_IDENTICALLY_SINGULAR))
+        assert main(["solve", str(p), "--mode", "symbolic"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith(
+            "singular: beta[5] is identically zero; ")
+        assert captured.out == ""
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("not a system\n")
@@ -216,6 +292,20 @@ class TestSolveCommand:
 
 
 class TestCheckCommand:
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "missing.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+
+    def test_identically_singular_system(self, tmp_path, capsys):
+        p = tmp_path / "singular.txt"
+        p.write_text(format_system(_IDENTICALLY_SINGULAR))
+        assert main(["check", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == (
+            "SINGULAR: both the banded and the dense path report no "
+            "unique solution")
+        assert captured.out == ""
+
     def test_match(self, ex31_path, capsys):
         assert main(["check", ex31_path]) == 0
         out = capsys.readouterr().out
@@ -295,6 +385,10 @@ class TestGenCommand:
 
     def test_gen_usage_error(self, capsys):
         assert main(["gen", "--seed", "1", "--n", "3"]) == 1
+
+    def test_malformed_zero_position(self, capsys):
+        assert main(["gen", "--seed", "1", "--n", "6", "--zero", "d_x"]) == 1
+        assert capsys.readouterr().err == "error: bad band position 'd_x'\n"
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.txt"

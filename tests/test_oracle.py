@@ -157,6 +157,13 @@ def test_band_slot_matches_dicts(n):
             assert _band_slot(pos, n) == want, pos
 
 
+@pytest.mark.parametrize("pos", ["d_x", "d_", "d_ 3", "d_+3", "d_-1",
+                                 "d_3 ", "d_N", "d_\u0663", "d_1.0"])
+def test_band_slot_rejects_malformed_index(pos):
+    with pytest.raises(ValueError, match="^bad band position "):
+        _band_slot(pos, 6)
+
+
 class TestGenerateMatchesDenseFormula:
     @pytest.mark.parametrize("n", [5, 6, 7, 11, 40])
     def test_identical_systems(self, n):

@@ -129,6 +129,14 @@ class TestRationalFunction:
     def test_display_matches_primitive_integer_form(self):
         assert str(RationalFunction(P(-11), P(-11, 9))) == "-11/(9*x - 11)"
 
+    def test_display_non_integer_denominator(self):
+        f = RationalFunction(P(1, Fraction(1, 2)),
+                             P(Fraction(1, 3), Fraction(2, 5), Fraction(7, 6), 1))
+        assert str(f) == "(15*x + 30)/(30*x^3 + 35*x^2 + 12*x + 10)"
+        g = RationalFunction(P(Fraction(-3, 4), 0, Fraction(-5, 2)),
+                             P(Fraction(1, 7), Fraction(-2, 3), 1))
+        assert str(g) == "(-210*x^2 - 63)/(84*x^2 - 56*x + 12)"
+
     @given(ratfuncs, ratfuncs)
     def test_arithmetic_commutes_with_evaluation(self, f, g):
         for t in (Fraction(2, 3), Fraction(-5)):
