@@ -39,8 +39,8 @@ def _check_lengths(n, *vectors):
 
 
 @dataclass(frozen=True)
-class BackwardPentaSystem:
-    """The system AX=Y with A backward pentadiagonal, stored as five bands."""
+class _BandedSystem:
+    """Five band vectors and a right-hand side, checked against n = len(d)."""
 
     a_tilde: tuple
     a: tuple
@@ -52,12 +52,15 @@ class BackwardPentaSystem:
     def __post_init__(self):
         for field in _FIELDS:
             object.__setattr__(self, field, tuple(getattr(self, field)))
-        _check_lengths(len(self.d), self.a_tilde, self.a, self.d,
-                       self.b, self.b_tilde, self.y)
+        _check_lengths(len(self.d), *(getattr(self, f) for f in _FIELDS))
 
     @property
     def n(self) -> int:
         return len(self.d)
+
+
+class BackwardPentaSystem(_BandedSystem):
+    """The system AX=Y with A backward pentadiagonal, stored as five bands."""
 
     def map_scalars(self, fn) -> "BackwardPentaSystem":
         """Apply fn to every stored scalar (band entries and rhs)."""
@@ -65,35 +68,19 @@ class BackwardPentaSystem:
             *(tuple(map(fn, getattr(self, f))) for f in _FIELDS))
 
 
-@dataclass(frozen=True)
-class PentaSystem:
+class PentaSystem(_BandedSystem):
     """The row-reversed system A1 X = Y1; A1 is ordinary pentadiagonal.
 
     The five band vectors are shared verbatim with the source backward
-    system; only the row order (and hence the rhs) is reversed.
+    system; only the row order (and hence the rhs, stored as y) is reversed.
     """
 
-    a_tilde: tuple
-    a: tuple
-    d: tuple
-    b: tuple
-    b_tilde: tuple
-    y1: tuple
-
-    def __post_init__(self):
-        for field in (*_FIELDS[:-1], "y1"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
-        _check_lengths(len(self.d), self.a_tilde, self.a, self.d,
-                       self.b, self.b_tilde, self.y1)
-
     @property
-    def n(self) -> int:
-        return len(self.d)
+    def y1(self) -> tuple:
+        return self.y
 
 
-def new_system(a_tilde, a, d, b, b_tilde, y) -> BackwardPentaSystem:
-    """Validated constructor; scalars are stored exactly as given."""
-    return BackwardPentaSystem(a_tilde, a, d, b, b_tilde, y)
+new_system = BackwardPentaSystem  # the validated constructor
 
 
 def reverse_rows(system: BackwardPentaSystem) -> PentaSystem:
