@@ -16,6 +16,15 @@ class OpCounter:
 
 
 class CountingScalar:
+    """A wrapped value whose -, * and / each count one operation.
+
+    These are the operations the LU recurrences perform, always with a
+    wrapped value on the left (a bare replaced pivot only ever appears as
+    a divisor). No reflected or unary operator is defined, so one that a
+    recurrence starts to need fails with TypeError instead of counting
+    silently. bool() reads the wrapped value and counts nothing.
+    """
+
     __slots__ = ("value", "counter")
 
     def __init__(self, value, counter: OpCounter):
@@ -28,43 +37,20 @@ class CountingScalar:
     def _unwrap(self, other):
         return other.value if isinstance(other, CountingScalar) else other
 
-    def __add__(self, other):
-        self.counter.count += 1
-        return self._wrap(self.value + self._unwrap(other))
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         self.counter.count += 1
         return self._wrap(self.value - self._unwrap(other))
-
-    def __rsub__(self, other):
-        self.counter.count += 1
-        return self._wrap(self._unwrap(other) - self.value)
 
     def __mul__(self, other):
         self.counter.count += 1
         return self._wrap(self.value * self._unwrap(other))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         self.counter.count += 1
         return self._wrap(self.value / self._unwrap(other))
 
-    def __rtruediv__(self, other):
-        self.counter.count += 1
-        return self._wrap(self._unwrap(other) / self.value)
-
-    def __neg__(self):
-        self.counter.count += 1
-        return self._wrap(-self.value)
-
     def __bool__(self):
         return bool(self.value)
-
-    def __abs__(self):
-        return abs(self.value)
 
     def __repr__(self):
         return f"CountingScalar({self.value!r})"

@@ -236,6 +236,16 @@ class TestProperties:
         determinant(lu)
         assert counter.count == 2068
 
+    def test_counting_scalar_defines_only_the_recurrence_operators(self):
+        counter = OpCounter()
+        c = CountingScalar(2.0, counter)
+        for op in (lambda: c + 1, lambda: 1 - c, lambda: 3 * c,
+                   lambda: 1 / c, lambda: -c, lambda: abs(c)):
+            with pytest.raises(TypeError):
+                op()
+        assert counter.count == 0
+        assert ((c - 1) * c / 4).value == 0.5 and counter.count == 3
+
     def test_tolerance_rejected_in_exact_mode(self, ex31):
         with pytest.raises(ValueError):
             solve(ex31, mode="exact", tol=5.0)
