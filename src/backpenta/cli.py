@@ -9,7 +9,9 @@ exactly 7 data lines:
                b~ (n-2), whitespace-separated
     line 7: the right-hand side y (n entries)
 
-Entries are integers, exact decimals, or p/q rationals.
+n is written in ASCII digits. Entries are integers, exact decimals, or
+p/q rationals, in ASCII, without '_' digit separators, and with exponents
+of at most four digits (1e9999, not 1e10000).
 
 Exit codes: 0 success, 1 usage/parse error (including a literal beyond
 the float range in float mode, --tol outside float mode, and a gen --out
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -45,15 +48,26 @@ class ParseError(ValueError):
     pass
 
 
+_LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
+
+
 def parse_system_text(text: str) -> BackwardPentaSystem:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
     if len(lines) != 7:
         raise ParseError(f"expected 7 data lines, found {len(lines)}")
     try:
+        if not (lines[0].isascii() and lines[0].isdigit()):
+            raise ValueError
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"first data line must be n, got {lines[0]!r}") from None
+    # Fraction's grammar differs across Pythons ('_' from 3.11 on) and its
+    # parse time grows with the exponent, so such lines never reach it.
+    for k, ln in enumerate(lines[1:], 2):
+        if not ln.isascii() or "_" in ln or _LONG_EXPONENT.search(ln):
+            raise ParseError(f"data line {k}: entries must be ASCII, without "
+                             "'_', with exponents of at most 4 digits")
     try:
         vectors = [[from_literal(tok) for tok in ln.split()] for ln in lines[1:]]
     except ValueError as exc:

@@ -222,6 +222,30 @@ class TestSolveCommand:
         assert captured.err.splitlines()[0].startswith(first_err)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("old, new, first_err", [
+        ("5\n3 2 3", "\u0665\n3 2 3", "error: first data line must be n"),
+        ("5\n3 2 3", "+5\n3 2 3", "error: first data line must be n"),
+        ("5\n3 2 3", "5_0\n3 2 3", "error: first data line must be n"),
+        ("10 26 20 14 4", "1_0 26 20 14 4", "error: data line 7: "),
+        ("3 2 3", "3 2 \u0663", "error: data line 2: "),
+        ("1 2 2 -2 -1", "1 2 2 -2 4e-10000000", "error: data line 4: "),
+        ("1 2 2 -2 -1", "1 2 2 -2 1E+00001", "error: data line 4: "),
+    ])
+    def test_literals_outside_the_portable_grammar(self, tmp_path, capsys,
+                                                   old, new, first_err):
+        # the same answer on every supported Python, and no slow parse
+        p = tmp_path / "bad.txt"
+        p.write_text(EX31_FILE.replace(old, new), encoding="utf-8")
+        assert main(["solve", str(p), "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith(first_err)
+        assert captured.out == ""
+
+    def test_four_digit_exponent_still_parses(self):
+        s = parse_system_text(EX31_FILE.replace("1 2 2 -2 -1",
+                                                "1 2 2 -2 1e9999"))
+        assert s.d[-1] == 10 ** 9999
+
     def test_identically_singular_exit_code(self, tmp_path, capsys):
         p = tmp_path / "singular.txt"
         p.write_text(format_system(_IDENTICALLY_SINGULAR))
