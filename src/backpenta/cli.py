@@ -62,8 +62,7 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"first data line must be n, got {lines[0]!r}") from None
-    # Fraction's grammar differs across Pythons ('_' from 3.11 on) and its
-    # parse time grows with the exponent, so such lines never reach it.
+    # Fraction takes '_' from Python 3.11 on; long exponents parse slowly
     for k, ln in enumerate(lines[1:], 2):
         if not ln.isascii() or "_" in ln or _LONG_EXPONENT.search(ln):
             raise ParseError(f"data line {k}: entries must be ASCII, without "

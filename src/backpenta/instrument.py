@@ -1,8 +1,9 @@
 """Operation-counting scalar used to check the solver's linear cost.
 
-Wraps any numeric value; every field operation bumps a shared counter.
-Running the banded factor/solve over CountingScalar values measures the
-exact number of scalar operations without touching the solver code.
+Wraps any numeric value; each -, * and / bumps a shared counter, and
+bool() reads the value uncounted. These are all the LU recurrences use,
+always with a wrapped value on the left, so any other operator raises
+TypeError rather than going uncounted.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ class OpCounter:
 
 
 class CountingScalar:
-    """A wrapped value whose -, * and / each count one operation.
-
-    These are the operations the LU recurrences perform, always with a
-    wrapped value on the left (a bare replaced pivot only ever appears as
-    a divisor). No reflected or unary operator is defined, so one that a
-    recurrence starts to need fails with TypeError instead of counting
-    silently. bool() reads the wrapped value and counts nothing.
-    """
-
     __slots__ = ("value", "counter")
 
     def __init__(self, value, counter: OpCounter):

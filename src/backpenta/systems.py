@@ -72,7 +72,7 @@ class PentaSystem(_BandedSystem):
     """The row-reversed system A1 X = Y1; A1 is ordinary pentadiagonal.
 
     The five band vectors are shared verbatim with the source backward
-    system; only the row order (and hence the rhs, stored as y) is reversed.
+    system; only the row order is reversed, so y holds Y1 (also read as y1).
     """
 
     @property
