@@ -13,12 +13,12 @@ n is written in ASCII digits. Entries are integers, exact decimals, or
 p/q rationals, in ASCII, without '_' digit separators, and with exponents
 of at most four digits (1e9999, not 1e10000).
 
-Exit codes: 0 success, 1 usage/parse error (including a literal beyond
-the float range in float mode, --tol outside float mode, and a gen --out
-path that cannot be written) or stdout closed early by its reader (a pipe
-into `head`; nothing is printed to stderr), 2 zero-pivot failure
-(float/exact modes), 3 singular system or substitution pole, 4 check: the
-banded and the dense solution differ.
+Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
+(bad arguments, --tol outside float mode), "error: ..." (unreadable or
+malformed file, a float-mode literal beyond the float range, bad gen
+arguments, unwritable --out) or stdout closed by its reader (`| head`;
+nothing on stderr); 2 zero pivot (float/exact); 3 "singular: ..." or
+check's SINGULAR; 4 check: the banded and dense solutions differ.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ class ParseError(ValueError):
     pass
 
 
+class UsageError(Exception):
+    pass
+
+
 _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
 
 
@@ -73,10 +77,7 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
         raise ParseError(str(exc)) from None
     if len(vectors[2]) != n:
         raise ParseError(f"d line has {len(vectors[2])} entries but n={n}")
-    try:
-        return new_system(*vectors)
-    except (SizeTooSmall, LengthMismatch) as exc:
-        raise ParseError(str(exc)) from None
+    return new_system(*vectors)
 
 
 def read_system(path: str) -> BackwardPentaSystem:
@@ -103,28 +104,12 @@ def format_system(system: BackwardPentaSystem, header: str = "") -> str:
 
 def cmd_solve(args) -> int:
     if args.tol is not None and args.mode != "float":
-        print("usage error: --tol applies to --mode float only",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        system = read_system(args.path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.mode == "symbolic":
-            report = solve_symbolic(system)
-        else:
-            report = solve(system, mode=args.mode, tol=args.tol)
-    except ZeroPivot as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ZERO_PIVOT
-    except PoleAtZero as exc:
-        print(f"singular: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OverflowError as exc:  # a literal beyond the float range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--tol applies to --mode float only")
+    system = read_system(args.path)
+    if args.mode == "symbolic":
+        report = solve_symbolic(system)
+    else:
+        report = solve(system, mode=args.mode, tol=args.tol)
     if args.dump_factors:
         lu, z = report.factors, report.z
         if lu is None:  # symbolic: the kernel keeps no factors; use Q(x)
@@ -143,11 +128,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        system = read_system(args.path)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    system = read_system(args.path)
     try:
         report = solve(system, mode="exact")
     except ZeroPivot:
@@ -194,8 +175,7 @@ def cmd_gen(args) -> int:
                                  force_zero_pivots=tuple(args.zero))
         system = generate(config)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(str(exc)) from None
     header = (f"generated: seed={args.seed} n={args.n} range={args.range}"
               + (f" zero={','.join(args.zero)}" if args.zero else ""))
     text = format_system(system, header)
@@ -204,9 +184,8 @@ def cmd_gen(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ParseError(f"cannot write {args.out}: "
+                             f"{exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -214,7 +193,7 @@ def cmd_gen(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ParseError(message)
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,13 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ParseError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    # OverflowError: a literal beyond the float range, in float mode
+    except (ParseError, SizeTooSmall, LengthMismatch, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroPivot as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ZERO_PIVOT
+    except PoleAtZero as exc:
+        print(f"singular: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
 
 
 def entry():
