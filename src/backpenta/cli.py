@@ -45,11 +45,11 @@ EXIT_MISMATCH = 4
 
 
 class ParseError(ValueError):
-    pass
+    """A file, literal or gen argument that main reports as "error: ..."."""
 
 
 class UsageError(Exception):
-    pass
+    """Bad command-line usage, reported as "usage error: ..."."""
 
 
 _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
@@ -91,10 +91,15 @@ def read_system(path: str) -> BackwardPentaSystem:
     return parse_system_text(text)
 
 
+def _read(path: str) -> BackwardPentaSystem:
+    system = read_system(path)  # parsed under the caller's digit limit
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)  # exact values print in full
+    return system
+
+
 def format_system(system: BackwardPentaSystem, header: str = "") -> str:
-    out = []
-    if header:
-        out.append(f"# {header}")
+    out = [f"# {header}"] if header else []
     out.append(str(system.n))
     for vec in (system.a_tilde, system.a, system.d, system.b,
                 system.b_tilde, system.y):
@@ -105,7 +110,7 @@ def format_system(system: BackwardPentaSystem, header: str = "") -> str:
 def cmd_solve(args) -> int:
     if args.tol is not None and args.mode != "float":
         raise UsageError("--tol applies to --mode float only")
-    system = read_system(args.path)
+    system = _read(args.path)
     if args.mode == "symbolic":
         report = solve_symbolic(system)
     else:
@@ -128,7 +133,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system = read_system(args.path)
+    system = _read(args.path)
     try:
         report = solve(system, mode="exact")
     except ZeroPivot:
@@ -170,10 +175,9 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        config = GeneratorConfig(seed=args.seed, n=args.n,
-                                 entry_range=args.range,
-                                 force_zero_pivots=tuple(args.zero))
-        system = generate(config)
+        system = generate(GeneratorConfig(
+            seed=args.seed, n=args.n, entry_range=args.range,
+            force_zero_pivots=tuple(args.zero)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     header = (f"generated: seed={args.seed} n={args.n} range={args.range}"
@@ -232,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -248,6 +253,9 @@ def main(argv=None) -> int:
     except PoleAtZero as exc:
         print(f"singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    finally:  # undo _read's lift; 0 (no limit) needs no undoing
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry():

@@ -22,12 +22,15 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class PoleAtZero(ZeroDivisionError):
-    """Substituting the placeholder symbol = 0 hit a pole.
-
-    Raised when a canonical rational function has a denominator vanishing
-    at 0: the placeholder substitution fails, which means the underlying
-    system is singular or the symbolic method is inapplicable to it.
+    """Substituting the placeholder symbol = 0 hit a pole: the system is
+    singular or the symbolic method is inapplicable to it. eval_at_zero
+    passes the function, whose text is built only when printed.
     """
+
+    def __str__(self):
+        if self.args and isinstance(self.args[0], RationalFunction):
+            return f"pole at 0 in {self.args[0]}"
+        return super().__str__()
 
 
 class BothZero(ValueError):
@@ -298,7 +301,7 @@ class RationalFunction:
         """Value at the placeholder = 0; the symbolic algorithm's final step."""
         num, den = self.num.coeffs, self.den.coeffs
         if not den[0]:
-            raise PoleAtZero(f"pole at 0 in {self}")
+            raise PoleAtZero(self)
         return num[0] / den[0] if num else Fraction(0)
 
     def evaluate(self, t) -> Fraction:

@@ -304,6 +304,74 @@ class TestSolveCommand:
         assert (done.returncode, done.stderr) == (1, b"")
 
 
+def _full_str(value):
+    # str() of a value of any length, with the caller's digit limit back
+    # afterwards (Python 3.10.0-3.10.6 has no limit and no setter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestLongValues:
+    """Exact values of more than 4300 digits print in full; parsing keeps
+    Python's 4300-digit bound on each literal."""
+
+    @pytest.fixture
+    def big_path(self, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 1e9999"))
+        return str(p)
+
+    @pytest.mark.parametrize("mode", ["exact", "symbolic"])
+    def test_solve_prints_every_digit(self, big_path, mode, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert main(["solve", big_path, "--mode", mode, "--det"]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        report = solve(read_system(big_path))
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            *map(_full_str, report.x), f"det(A1) = {_full_str(report.det)}"]
+        assert len(_full_str(report.det)) > 10000
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [["solve", "--dump-factors"], ["check"]])
+    def test_dump_factors_and_check(self, big_path, argv, capsys):
+        assert main([argv[0], big_path, *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert max(map(len, captured.out.splitlines())) > 10000
+        assert captured.err == ""
+
+    def test_long_identically_singular_rhs(self, tmp_path, capsys):
+        text = format_system(_IDENTICALLY_SINGULAR).splitlines()
+        text[-1] = " ".join(["1e5000", *text[-1].split()[1:]])
+        p = tmp_path / "singular.txt"
+        p.write_text("\n".join(text) + "\n")
+        assert main(["solve", str(p), "--mode", "symbolic"]) == 3
+        assert capsys.readouterr().err == (
+            "singular: beta[5] is identically zero; no finite solution\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer-string limit")
+    def test_literal_beyond_the_digit_limit(self, tmp_path, capsys):
+        p = tmp_path / "long.txt"
+        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 " + "7" * 4401))
+        assert main(["solve", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid scalar literal: '777")
+
+    def test_python_without_the_digit_limit(self, ex31_path, monkeypatch,
+                                            capsys):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        assert main(["solve", ex31_path, "--det"]) == 0
+        assert capsys.readouterr().out.endswith("det(A1) = 160\n")
+
+
 class TestCheckCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "missing.txt")]) == 1

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, IdenticallySingular, RationalFunction,
-                       ZeroPivot, back_substitute, densify, dense_det,
-                       dense_solve, det_original, determinant, factor,
-                       factor_symbolic, force_interior_zero_pivot,
+from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
+                       RationalFunction, ZeroPivot, back_substitute, densify,
+                       dense_det, dense_solve, det_original, determinant,
+                       factor, factor_symbolic, force_interior_zero_pivot,
                        forward_sweep, generate, new_system, reverse_rows,
                        solve, solve_symbolic)
 from backpenta.instrument import CountingScalar, OpCounter
@@ -123,6 +123,58 @@ class TestSymbolic:
                        [1, 1, 1, 1], [1, 1, 1], [1, 2, 1, 1, 1])
         with pytest.raises(PoleAtZero):
             solve_symbolic(s)
+
+
+    def test_pole_type_does_not_depend_on_coefficient_size(self):
+        # beta_5 replaced and still identically zero; a 5001-digit rhs
+        # entry must not turn the IdenticallySingular into another error
+        s = generate(GeneratorConfig(seed=1, n=5, entry_range=1,
+                                     force_zero_pivots=("d_n",),
+                                     known_solution=False))
+        big = new_system(s.a_tilde, s.a, s.d, s.b, s.b_tilde,
+                         (10 ** 5000, *s.y[1:]))
+        with pytest.raises(IdenticallySingular,
+                           match=r"^beta\[5\] is identically zero; "):
+            solve_symbolic(big)
+
+    def test_pole_text(self):
+        s = generate(GeneratorConfig(seed=3, n=6, entry_range=1,
+                                     known_solution=False))
+        with pytest.raises(PoleAtZero) as info:
+            solve_symbolic(s)
+        assert type(info.value) is PoleAtZero
+        assert str(info.value) == "pole at 0 in 1/(x)"
+
+    def test_exact_and_symbolic_agree(self):
+        # check and the documented rescue (exact, then solve_symbolic on
+        # ZeroPivot) rely on this: where exact succeeds, symbolic gives
+        # the same answer with no replacement; where exact stops at
+        # ZeroPivot(i), symbolic replaces beta_i first
+        seen = set()
+        for n in range(5, 45):
+            for entry_range in (1, 2, 9):
+                for known in (True, False):
+                    s = generate(GeneratorConfig(
+                        seed=100 * n + 10 * entry_range + known, n=n,
+                        entry_range=entry_range, known_solution=known))
+                    try:
+                        exact = solve(s, mode="exact")
+                    except ZeroPivot as exc:
+                        exact = exc
+                    try:
+                        symbolic = solve_symbolic(s)
+                    except PoleAtZero:
+                        seen.add("pole")
+                        continue
+                    if isinstance(exact, ZeroPivot):
+                        seen.add("rescued")
+                        assert symbolic.pivot_replacements[0] == exact.index
+                    else:
+                        seen.add("exact")
+                        assert (symbolic.x, symbolic.det) == (exact.x,
+                                                              exact.det)
+                        assert symbolic.pivot_replacements == ()
+        assert seen == {"exact", "rescued", "pole"}
 
 
 class TestDiagonalOnly:
