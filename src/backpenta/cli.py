@@ -11,7 +11,10 @@ exactly 7 data lines:
 
 n is written in ASCII digits. Entries are integers, exact decimals, or
 p/q rationals, in ASCII, without '_' digit separators, and with exponents
-of at most four digits (1e9999, not 1e10000).
+of at most four digits (1e9999, not 1e10000). A data line of integers
+only is read with int; any other line goes through the Fraction grammar
+(ratfunc.from_literal). Both give equal values, so every mode prints the
+same output either way.
 
 Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
 (bad arguments, --tol outside float mode), "error: ..." (unreadable or
@@ -55,6 +58,15 @@ class UsageError(Exception):
 _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
 
 
+def _parse_entries(line: str) -> list:
+    # The checks in parse_system_text leave no token that int reads and
+    # Fraction rejects, and a token over the digit limit fails both ways.
+    try:
+        return list(map(int, line.split()))
+    except ValueError:
+        return [from_literal(tok) for tok in line.split()]
+
+
 def parse_system_text(text: str) -> BackwardPentaSystem:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -72,7 +84,7 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
             raise ParseError(f"data line {k}: entries must be ASCII, without "
                              "'_', with exponents of at most 4 digits")
     try:
-        vectors = [[from_literal(tok) for tok in ln.split()] for ln in lines[1:]]
+        vectors = [_parse_entries(ln) for ln in lines[1:]]
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if len(vectors[2]) != n:

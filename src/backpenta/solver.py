@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ratfunc import PoleAtZero, Polynomial, RationalFunction
-from .systems import BackwardPentaSystem, PentaSystem, reverse_rows
+from .systems import BANDS, BackwardPentaSystem, PentaSystem, reverse_rows
 
 
 class ZeroPivot(ArithmeticError):
@@ -173,17 +173,33 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     mode "exact" lifts all scalars to Fraction; mode "float" to float.
     Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
     also when |beta_i| < tol); the symbolic solver handles those cases.
-    Raises ValueError for tol in exact mode.
+    Raises ValueError for tol in exact mode, and in float mode for an
+    entry that is NaN or infinite as a float.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
     if mode == "exact" and tol is not None:
         raise ValueError("tol applies to float mode only")
-    p = reverse_rows(system.map_scalars(float if mode == "float" else Fraction))
+    lifted = system.map_scalars(float if mode == "float" else Fraction)
+    if mode == "float":
+        _require_finite(lifted)
+    p = reverse_rows(lifted)
     lu = factor(p, tol=tol)
     z = forward_sweep(p, lu)
     x = back_substitute(p, lu, z)
     return SolveReport(x=x, det=determinant(lu), mode=mode, z=z, factors=lu)
+
+
+def _require_finite(system: BackwardPentaSystem) -> None:
+    """Raise ValueError naming the first NaN or infinite float entry."""
+    for field, k in (*BANDS, ("y", 0)):
+        vec = getattr(system, field)
+        # one sum finds any NaN or inf; finite values may still sum to inf
+        if not math.isfinite(sum(vec)):
+            for j, v in enumerate(vec):
+                if not math.isfinite(v):
+                    raise ValueError(f"vector {field}: entry {field}_"
+                                     f"{j + 1 + max(k, 0)} is {v}, not finite")
 
 
 def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:

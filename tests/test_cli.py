@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -95,6 +96,12 @@ class TestParsing:
         s = parse_system_text(EX31_FILE.replace("3 2 3", "1/3 0.5 -2/7"))
         assert parse_system_text(format_system(s)) == s
 
+    def test_integer_lines_hold_ints(self):
+        s = parse_system_text(EX31_FILE.replace("3 2 3", "1/3 0.5 -2"))
+        assert all(type(v) is Fraction for v in s.a_tilde)
+        assert all(type(v) is int
+                   for vec in (s.a, s.d, s.b, s.b_tilde, s.y) for v in vec)
+
     def test_four_digit_exponent_still_parses(self):
         s = parse_system_text(EX31_FILE.replace("1 2 2 -2 -1",
                                                 "1 2 2 -2 1e9999"))
@@ -118,6 +125,63 @@ class TestParsing:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read {p}: ")
         assert captured.out == ""
+
+
+def _k_over_1(text):
+    """text with every integer entry written as k/1, which the parser
+    reads through the Fraction grammar instead of int."""
+    out, seen_n = [], False
+    for line in text.splitlines():
+        if line.strip() and not line.startswith("#"):
+            if seen_n:
+                line = " ".join(tok + "/1" if re.fullmatch(r"[+-]?[0-9]+", tok)
+                                else tok for tok in line.split())
+            seen_n = True
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+# integer-only lines with signs, -0 and leading zeros, and mixed lines
+_MIXED_FILE = (EX31_FILE.replace("3 2 3", "+3 2 007")
+               .replace("4 1 2 1", "4 -0 2 +1")
+               .replace("1 2 1", "1/3 0.5 1"))
+
+
+class TestIntegerLinesMatchFractionGrammar:
+    """Integer-only lines are read with int; rewriting every integer as
+    k/1 sends them through Fraction instead and must change nothing."""
+
+    @pytest.fixture(params=[
+        "ex31", "ex32", "app2", "mixed", "1e9999",
+        *(f"gen {seed}{zero}" for seed in (1, 2, 3) for zero in ("", " d_n"))])
+    def text(self, request, tmp_path):
+        name = request.param
+        if name.startswith("gen"):
+            _, seed, *zero = name.split()
+            out = tmp_path / "gen.txt"
+            assert main(["gen", "--seed", seed, "--n", "30", "--out", str(out),
+                         *(arg for pos in zero for arg in ("--zero", pos))]) == 0
+            return out.read_text()
+        return {"ex31": EX31_FILE, "ex32": EX32_FILE, "app2": APP2_FILE,
+                "mixed": _MIXED_FILE,
+                "1e9999": EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 1e9999"),
+                }[name]
+
+    def test_parsed_systems_are_equal(self, text):
+        assert _k_over_1(text) != text
+        assert parse_system_text(_k_over_1(text)) == parse_system_text(text)
+
+    @pytest.mark.parametrize("mode", ["float", "exact", "symbolic"])
+    def test_solve_output_is_identical(self, text, mode, tmp_path, capsys):
+        results = []
+        for name, body in (("int.txt", text), ("frac.txt", _k_over_1(text))):
+            p = tmp_path / name
+            p.write_text(body)
+            code = main(["solve", str(p), "--mode", mode, "--det",
+                         "--dump-factors"])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
 
 
 class TestSolveCommand:
@@ -359,10 +423,23 @@ class TestLongValues:
                         reason="this Python has no integer-string limit")
     def test_literal_beyond_the_digit_limit(self, tmp_path, capsys):
         p = tmp_path / "long.txt"
-        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 " + "7" * 4401))
-        assert main(["solve", str(p)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: invalid scalar literal: '777")
+        for digits in (4301, 4401):  # one past the limit, and far past it
+            p.write_text(EX31_FILE.replace("1 2 2 -2 -1",
+                                           "1 2 2 -2 " + "7" * digits))
+            assert main(["solve", str(p)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: invalid scalar literal: '777")
+
+    @pytest.mark.parametrize("entry, message", [
+        ("9" * 400, "int too large to convert to float"),
+        ("9" * 400 + "/1", "integer division result too large for a float"),
+    ])
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, entry,
+                                            message):
+        p = tmp_path / "wide.txt"
+        p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 " + entry))
+        assert main(["solve", str(p), "--mode", "float"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_python_without_the_digit_limit(self, ex31_path, monkeypatch,
                                             capsys):

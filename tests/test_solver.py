@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,24 @@ class TestProperties:
                 op()
         assert counter.count == 0
         assert ((c - 1) * c / 4).value == 0.5 and counter.count == 3
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, name", [  # entry 1 of each vector
+        ("a_tilde", "a_tilde_2"), ("a", "a_2"), ("d", "d_2"), ("b", "b_3"),
+        ("b_tilde", "b_tilde_4"), ("y", "y_2")])
+    def test_float_mode_rejects_non_finite_entries(self, ex31, field, name,
+                                                   value):
+        vectors = {f: list(getattr(ex31, f)) for f in
+                   ("a_tilde", "a", "d", "b", "b_tilde", "y")}
+        vectors[field][1] = value
+        with pytest.raises(ValueError, match=(
+                f"^vector {field}: entry {name} is {value}, not finite$")):
+            solve(new_system(**vectors), mode="float")
+
+    def test_float_mode_accepts_finite_entries_summing_to_inf(self, ex31):
+        report = solve(new_system(ex31.a_tilde, ex31.a, ex31.d, ex31.b,
+                                  ex31.b_tilde, [1e308] * 5), mode="float")
+        assert report.det == 160.0
 
     def test_tolerance_rejected_in_exact_mode(self, ex31):
         with pytest.raises(ValueError):
