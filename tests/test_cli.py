@@ -433,7 +433,7 @@ class TestLongValues:
     @pytest.mark.parametrize("entry, message", [
         ("9" * 400, "int too large to convert to float"),
         ("9" * 400 + "/1", "integer division result too large for a float"),
-    ])
+    ], ids=["int", "fraction"])
     def test_integer_beyond_the_float_range(self, tmp_path, capsys, entry,
                                             message):
         p = tmp_path / "wide.txt"
