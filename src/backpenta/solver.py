@@ -94,9 +94,6 @@ def factor_symbolic(system: PentaSystem) -> LUFactors:
 def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
     n = sys.n
     at, a, d, b, bt = sys.a_tilde, sys.a, sys.d, sys.b, sys.b_tilde
-    alpha = [None] * (n - 1)
-    beta = [None] * n
-    gamma = [None] * (n - 1)  # gamma[i-2] = gamma_i
     hits = []
 
     def checked(i, s):
@@ -107,48 +104,69 @@ def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
             return sym
         return s
 
-    beta[0] = checked(1, d[n - 1])
-    gamma[0] = a[n - 2] / beta[0]
-    alpha[0] = b[n - 2]
-    beta[1] = checked(2, d[n - 2] - alpha[0] * gamma[0])
-    alpha[1] = b[n - 3] - gamma[0] * bt[n - 3]
-    for i in range(3, n):
-        mult = at[n - i] / beta[i - 3]  # a~_(n-i+1) / beta_(i-2)
-        g = (a[n - i] - mult * alpha[i - 3]) / beta[i - 2]
-        gamma[i - 2] = g
-        alpha[i - 1] = b[n - i - 1] - g * bt[n - i - 1]
-        beta[i - 1] = checked(i, d[n - i] - mult * bt[n - i] - alpha[i - 2] * g)
-    mult = at[0] / beta[n - 3]
-    gamma[n - 2] = (a[0] - mult * alpha[n - 3]) / beta[n - 2]
-    beta[n - 1] = checked(n, d[0] - mult * bt[0] - alpha[n - 2] * gamma[n - 2])
+    beta2 = checked(1, d[n - 1])
+    g = a[n - 2] / beta2
+    alpha2 = b[n - 2]
+    beta1 = checked(2, d[n - 2] - alpha2 * g)
+    alpha1 = b[n - 3] - g * bt[n - 3]
+    alpha, beta, gamma = [alpha2, alpha1], [beta2, beta1], [g]
+    # Row i = 3..n-1 reads a~, a, d and b~ at band index n-i, and b and b~
+    # at n-i-1, each slice running backwards; alpha2, alpha1, beta2, beta1
+    # carry alpha_(i-2), alpha_(i-1), beta_(i-2), beta_(i-1).
+    for ati, ai, di, bti, bi, bti1 in zip(
+            at[n - 3:0:-1], a[n - 3:0:-1], d[n - 3:0:-1], bt[n - 3:0:-1],
+            b[n - 4::-1], bt[n - 4::-1]):
+        mult = ati / beta2  # a~_(n-i+1) / beta_(i-2)
+        g = (ai - mult * alpha2) / beta1
+        al = bi - g * bti1
+        s = di - mult * bti - alpha1 * g
+        # checked's own test, inline: the call is made for a failing pivot
+        if not s or (tol is not None and abs(s) < tol):
+            s = checked(len(beta) + 1, s)
+        alpha2, alpha1, beta2, beta1 = alpha1, al, beta1, s
+        gamma.append(g)
+        alpha.append(al)
+        beta.append(s)
+    mult = at[0] / beta2
+    gamma.append((a[0] - mult * alpha2) / beta1)
+    beta.append(checked(n, d[0] - mult * bt[0] - alpha1 * gamma[-1]))
 
     return LUFactors(n, tuple(alpha), tuple(beta), tuple(gamma), tuple(hits))
 
 
 def forward_sweep(system: PentaSystem, lu: LUFactors) -> tuple:
-    """Solve L z = Y1 (unit lower-triangular sweep)."""
-    n, y1 = system.n, system.y1
-    at, beta, gamma = system.a_tilde, lu.beta, lu.gamma
-    z = [None] * n
-    z[0] = y1[0]
-    z[1] = y1[1] - gamma[0] * z[0]
-    for i in range(3, n + 1):
-        z[i - 1] = (y1[i - 1] - (at[n - i] / beta[i - 3]) * z[i - 3]
-                    - gamma[i - 2] * z[i - 2])
+    """Solve L z = Y1 (unit lower-triangular sweep).
+
+    Row i = 3..n reads y1_i, a~_(n-i+1) (a_tilde from its end backwards),
+    beta_(i-2) and gamma_i, and carries z_(i-2), z_(i-1).
+    """
+    y1 = system.y1
+    z2 = y1[0]
+    z1 = y1[1] - lu.gamma[0] * z2
+    z = [z2, z1]
+    for yi, ati, b, g in zip(y1[2:], system.a_tilde[::-1], lu.beta,
+                             lu.gamma[1:]):
+        z2, z1 = z1, yi - (ati / b) * z2 - g * z1
+        z.append(z1)
     return tuple(z)
 
 
 def back_substitute(system: PentaSystem, lu: LUFactors, z) -> tuple:
-    """Solve U x = z; the result is already in original order x_1..x_n."""
+    """Solve U x = z; the result is already in original order x_1..x_n.
+
+    Row i = n-2..1 reads z_i, alpha_i and beta_i (backwards from i = n-2)
+    and b~_(n-i+1) (b_tilde from its start), and carries x_(i+1), x_(i+2).
+    """
     n = system.n
-    bt, alpha, beta = system.b_tilde, lu.alpha, lu.beta
-    x = [None] * n
-    x[n - 1] = z[n - 1] / beta[n - 1]
-    x[n - 2] = (z[n - 2] - alpha[n - 2] * x[n - 1]) / beta[n - 2]
-    for i in range(n - 2, 0, -1):
-        x[i - 1] = (z[i - 1] - alpha[i - 1] * x[i]
-                    - bt[n - i - 2] * x[i + 1]) / beta[i - 1]
-    return tuple(x)
+    alpha, beta = lu.alpha, lu.beta
+    x2 = z[n - 1] / beta[n - 1]
+    x1 = (z[n - 2] - alpha[n - 2] * x2) / beta[n - 2]
+    x = [x2, x1]
+    for zi, al, bti, b in zip(z[n - 3::-1], alpha[n - 3::-1],
+                              system.b_tilde, beta[n - 3::-1]):
+        x2, x1 = x1, (zi - al * x1 - bti * x2) / b
+        x.append(x1)
+    return tuple(reversed(x))
 
 
 def determinant(lu: LUFactors):
@@ -174,13 +192,18 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
     also when |beta_i| < tol); the symbolic solver handles those cases.
     Raises ValueError for tol in exact mode, and in float mode for an
-    entry that is NaN or infinite as a float.
+    entry that is NaN or infinite as a float; OverflowError, naming the
+    entry, for one beyond the float range.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
     if mode == "exact" and tol is not None:
         raise ValueError("tol applies to float mode only")
-    lifted = system.map_scalars(float if mode == "float" else Fraction)
+    try:
+        lifted = system.map_scalars(float if mode == "float" else Fraction)
+    except OverflowError:
+        _name_entry(system, OverflowError, _beyond_float_range)
+        raise
     if mode == "float":
         _require_finite(lifted)
     p = reverse_rows(lifted)
@@ -190,16 +213,36 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     return SolveReport(x=x, det=determinant(lu), mode=mode, z=z, factors=lu)
 
 
+_VECTORS = (*BANDS, ("y", 0))
+
+
 def _require_finite(system: BackwardPentaSystem) -> None:
     """Raise ValueError naming the first NaN or infinite float entry."""
-    for field, k in (*BANDS, ("y", 0)):
-        vec = getattr(system, field)
-        # one sum finds any NaN or inf; finite values may still sum to inf
-        if not math.isfinite(sum(vec)):
-            for j, v in enumerate(vec):
-                if not math.isfinite(v):
-                    raise ValueError(f"vector {field}: entry {field}_"
-                                     f"{j + 1 + max(k, 0)} is {v}, not finite")
+    # one sum per vector finds any NaN or inf; finite values may still sum
+    # to inf, and then no entry is named
+    if not all(math.isfinite(sum(getattr(system, field)))
+               for field, _ in _VECTORS):
+        _name_entry(system, ValueError, lambda v: None if math.isfinite(v)
+                    else f"is {v}, not finite")
+
+
+def _beyond_float_range(v) -> Optional[str]:
+    try:
+        float(v)
+    except OverflowError:
+        return "is beyond the float range"
+    return None
+
+
+def _name_entry(system: BackwardPentaSystem, error, fault) -> None:
+    """Raise error naming the first entry v, in BANDS order then y, for
+    which fault(v) gives a text; return if there is none."""
+    for field, k in _VECTORS:
+        for j, v in enumerate(getattr(system, field)):
+            text = fault(v)
+            if text:
+                raise error(f"vector {field}: entry {field}_"
+                            f"{j + 1 + max(k, 0)} {text}") from None
 
 
 def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:

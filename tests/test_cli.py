@@ -430,16 +430,16 @@ class TestLongValues:
             assert capsys.readouterr().err.startswith(
                 "error: invalid scalar literal: '777")
 
-    @pytest.mark.parametrize("entry, message", [
-        ("9" * 400, "int too large to convert to float"),
-        ("9" * 400 + "/1", "integer division result too large for a float"),
-    ], ids=["int", "fraction"])
-    def test_integer_beyond_the_float_range(self, tmp_path, capsys, entry,
-                                            message):
+    # the line of an int entry is read with int, of a p/q entry with
+    # Fraction; the message must not depend on which
+    @pytest.mark.parametrize("entry", ["9" * 400, "9" * 400 + "/1"],
+                             ids=["int", "fraction"])
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, entry):
         p = tmp_path / "wide.txt"
         p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 " + entry))
         assert main(["solve", str(p), "--mode", "float"]) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == (
+            "", "error: vector d: entry d_5 is beyond the float range\n")
 
     def test_python_without_the_digit_limit(self, ex31_path, monkeypatch,
                                             capsys):

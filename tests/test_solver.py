@@ -280,15 +280,26 @@ class TestProperties:
         assert exc.value.index == 1
 
     def test_operation_count(self):
-        # the exact count at one n; acceptance criterion 7 checks only that
-        # the count grows linearly
-        counter = OpCounter()
-        s = generate(GeneratorConfig(seed=7, n=100))
-        p = reverse_rows(s.map_scalars(lambda v: CountingScalar(float(v), counter)))
-        lu = factor(p)
-        back_substitute(p, lu, forward_sweep(p, lu))
-        determinant(lu)
-        assert counter.count == 2068
+        # the exact count of each stage, 20n - 31 for factor and sweeps;
+        # acceptance criterion 7 checks only that the count grows linearly,
+        # so this is what catches one added or lost operation
+        for n in (5, 6, 100, 1000):
+            counter = OpCounter()
+            s = generate(GeneratorConfig(seed=7, n=n))
+            p = reverse_rows(s.map_scalars(
+                lambda v: CountingScalar(float(v), counter)))
+            counts = [0]
+            lu = factor(p)
+            counts.append(counter.count)
+            z = forward_sweep(p, lu)
+            counts.append(counter.count)
+            back_substitute(p, lu, z)
+            counts.append(counter.count)
+            determinant(lu)
+            counts.append(counter.count)
+            assert counts[3] == 20 * n - 31
+            assert [b - a for a, b in zip(counts, counts[1:])] == [
+                10 * n - 17, 5 * n - 8, 5 * n - 6, n - 1]
 
     def test_counting_scalar_defines_only_the_recurrence_operators(self):
         counter = OpCounter()
@@ -311,6 +322,20 @@ class TestProperties:
         with pytest.raises(ValueError, match=(
                 f"^vector {field}: entry {name} is {value}, not finite$")):
             solve(replace(ex31, **{field: vec}), mode="float")
+
+    @pytest.mark.parametrize("value", [10 ** 400, F(-(10 ** 400), 3)],
+                             ids=["int", "fraction"])
+    @pytest.mark.parametrize("field, name", [  # entry 2 of three vectors
+        ("a_tilde", "a_tilde_3"), ("b", "b_4"), ("y", "y_3")])
+    def test_float_mode_names_an_entry_beyond_the_float_range(
+            self, ex31, field, name, value):
+        vec = list(getattr(ex31, field))
+        vec[2] = value
+        system = replace(ex31, **{field: vec})
+        with pytest.raises(OverflowError, match=(
+                f"^vector {field}: entry {name} is beyond the float range$")):
+            solve(system, mode="float")
+        assert solve(system, mode="exact").x  # Fraction holds it
 
     def test_float_mode_accepts_finite_entries_summing_to_inf(self, ex31):
         report = solve(replace(ex31, y=[1e308] * 5), mode="float")
