@@ -16,6 +16,8 @@ only is read with int; any other line goes through the Fraction grammar
 (ratfunc.from_literal). Both give equal values, so every mode prints the
 same output either way.
 
+check runs solve_symbolic once; "mode: exact" means no pivot was replaced.
+
 Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
 (bad arguments, --tol outside float mode), "error: ..." (unreadable or
 malformed file, a float-mode literal beyond the float range, bad gen
@@ -30,15 +32,13 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .oracle import GeneratorConfig, Singular, dense_solve, generate
 from .ratfunc import PoleAtZero, from_literal
-from .solver import (ZeroPivot, factor_symbolic, forward_sweep, solve,
-                     solve_symbolic)
+from .solver import ZeroPivot, solve, solve_symbolic
 from .systems import (BackwardPentaSystem, LengthMismatch, SizeTooSmall,
-                      densify, new_system, reverse_rows)
+                      densify, new_system)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,15 +128,10 @@ def cmd_solve(args) -> int:
     else:
         report = solve(system, mode=args.mode, tol=args.tol)
     if args.dump_factors:
-        lu, z = report.factors, report.z
-        if lu is None:  # symbolic: the kernel keeps no factors; use Q(x)
-            p = reverse_rows(system.map_scalars(Fraction))
-            lu = factor_symbolic(p)
-            z = forward_sweep(p, lu)
-        print("alpha =", *lu.alpha)
-        print("beta  =", *lu.beta)
-        print("gamma =", *lu.gamma)
-        print("z     =", *z)
+        print("alpha =", *report.factors.alpha)
+        print("beta  =", *report.factors.beta)
+        print("gamma =", *report.factors.gamma)
+        print("z     =", *report.z)
     for xi in report.x:
         print(xi)
     if args.det:
@@ -147,12 +142,9 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     system = _read(args.path)
     try:
-        report = solve(system, mode="exact")
-    except ZeroPivot:
-        try:
-            report = solve_symbolic(system)
-        except PoleAtZero:
-            report = None
+        report = solve_symbolic(system)
+    except PoleAtZero:
+        report = None
     dense = densify(system)
     try:
         oracle_x = dense_solve(dense, system.y)
@@ -169,7 +161,7 @@ def cmd_check(args) -> int:
         print("SINGULAR: no unique solution; the banded path found a "
               "solution with det(A1) = 0")
         print("x:", *report.x)
-        print(f"mode: {report.mode}")
+        print(f"mode: {report.mode}")  # det(A1) = 0: a pivot was replaced
         return EXIT_SINGULAR
     if report is None or oracle_x is None or tuple(report.x) != tuple(oracle_x):
         print("MISMATCH")
@@ -181,7 +173,7 @@ def cmd_check(args) -> int:
                 else EXIT_MISMATCH)
     print("MATCH")
     print("x:", *report.x)
-    print(f"mode: {report.mode}")
+    print("mode:", "symbolic" if report.pivot_replacements else "exact")
     return EXIT_OK
 
 

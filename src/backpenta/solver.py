@@ -8,9 +8,9 @@ carries:
   replaced by a single placeholder symbol and all downstream quantities
   become rational functions of it.
 
-solve_symbolic computes the same rescue without rational-function
-arithmetic, by fraction-free band elimination over Z[x], and evaluates
-the finished solution and determinant at placeholder = 0.
+Exact answers come from one kernel, _band_bareiss, a fraction-free band
+elimination over Z[x]: exact solve stops at the first zero pivot, and
+solve_symbolic applies the rescue and evaluates at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -18,8 +18,9 @@ conventional subscripts (beta_1 .. beta_n).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -64,16 +65,24 @@ class LUFactors:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solve: solution in original order x_1..x_n plus
-    diagnostics."""
+    """Outcome of a solve: x_1..x_n in original order plus diagnostics;
+    factors and z are derived on first read (equality ignores them)."""
 
     x: tuple
     det: object
     mode: str
     pivot_replacements: tuple = ()
     x_presub: Optional[tuple] = None  # symbolic mode: pre-substitution solution
-    z: tuple = ()  # float/exact modes: the forward sweep L z = Y1
-    factors: Optional[LUFactors] = None  # float/exact modes
+    _a1: Optional[PentaSystem] = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def factors(self) -> LUFactors:  # without tol: no pivot fell below it
+        fn = factor_symbolic if self.mode == "symbolic" else factor
+        return fn(self._a1)
+
+    @functools.cached_property
+    def z(self) -> tuple:  # the forward sweep L z = Y1
+        return forward_sweep(self._a1, self.factors)
 
 
 def factor(system: PentaSystem, tol=None) -> LUFactors:
@@ -188,29 +197,34 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
           tol: Optional[float] = None) -> SolveReport:
     """Solve AX=Y by LU factorization of the row-reversed system.
 
-    mode "exact" lifts all scalars to Fraction; mode "float" to float.
-    Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
-    also when |beta_i| < tol); the symbolic solver handles those cases.
-    Raises ValueError for tol in exact mode, and in float mode for an
-    entry that is NaN or infinite as a float; OverflowError, naming the
-    entry, for one beyond the float range.
+    mode "exact" lifts all scalars to Fraction and runs _band_bareiss;
+    mode "float" lifts them to float and runs the recurrences. Raises
+    ZeroPivot(i) when a pivot is zero (with tol, in float mode, also when
+    |beta_i| < tol); the symbolic solver handles those cases. Raises
+    ValueError for tol in exact mode, and for an entry that is NaN or
+    infinite as a float; in float mode OverflowError, naming the entry,
+    for one beyond the float range.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
     if mode == "exact" and tol is not None:
         raise ValueError("tol applies to float mode only")
+    if mode == "exact":
+        p = _lift_exact(system)
+        rows, scales = _a1_rows(p)
+        _, _, det, numers = _band_bareiss(rows, scales, rescue=False)
+        return SolveReport(tuple(Fraction(v, det) for v in numers),
+                           Fraction(det, math.prod(scales)), mode, _a1=p)
     try:
-        lifted = system.map_scalars(float if mode == "float" else Fraction)
+        lifted = system.map_scalars(float)
     except OverflowError:
         _name_entry(system, OverflowError, _beyond_float_range)
         raise
-    if mode == "float":
-        _require_finite(lifted)
+    _require_finite(lifted)
     p = reverse_rows(lifted)
     lu = factor(p, tol=tol)
-    z = forward_sweep(p, lu)
-    x = back_substitute(p, lu, z)
-    return SolveReport(x=x, det=determinant(lu), mode=mode, z=z, factors=lu)
+    x = back_substitute(p, lu, forward_sweep(p, lu))
+    return SolveReport(x=x, det=determinant(lu), mode=mode, _a1=p)
 
 
 _VECTORS = (*BANDS, ("y", 0))
@@ -222,8 +236,12 @@ def _require_finite(system: BackwardPentaSystem) -> None:
     # to inf, and then no entry is named
     if not all(math.isfinite(sum(getattr(system, field)))
                for field, _ in _VECTORS):
-        _name_entry(system, ValueError, lambda v: None if math.isfinite(v)
-                    else f"is {v}, not finite")
+        _name_entry(system, ValueError, _not_finite)
+
+
+def _not_finite(v) -> Optional[str]:
+    # compares, never converts: an int beyond the float range is finite
+    return f"is {v}, not finite" if v != v or abs(v) == math.inf else None
 
 
 def _beyond_float_range(v) -> Optional[str]:
@@ -258,10 +276,11 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
     of A1 + xE, integer polynomials computed without a gcd. Canonical
     rational functions are built only for x_presub, once per component,
-    and x is their eval_at_zero; the report carries no factors and no z
-    (factor_symbolic and forward_sweep give them).
+    and x is their eval_at_zero. Raises ValueError, naming the entry, for
+    one that is NaN or infinite as a float.
     """
-    rows, scales = _a1_rows(system.map_scalars(Fraction))
+    p = _lift_exact(system)
+    rows, scales = _a1_rows(p)
     bits, replaced, det, numers = _band_bareiss(rows, scales)
     det = _unpack(det, bits)
     numers = [_unpack(v, bits) for v in numers]
@@ -277,32 +296,44 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
         raise
     return SolveReport(x=x, det=Fraction(det[0], math.prod(scales)),
                        mode="symbolic", pivot_replacements=replaced,
-                       x_presub=x_presub)
+                       x_presub=x_presub, _a1=p)
 
 
-def _a1_rows(system: BackwardPentaSystem):
+def _lift_exact(system: BackwardPentaSystem) -> PentaSystem:
+    """A1 X = Y1 over Fraction, the one lift of exact and symbolic mode."""
+    try:
+        lifted = system.map_scalars(Fraction)
+    except (ValueError, OverflowError):  # Fraction of a float NaN or inf
+        _name_entry(system, ValueError, _not_finite)
+        raise
+    return reverse_rows(lifted)
+
+
+def _a1_rows(system: PentaSystem):
     """Rows i of [A1 | Y1], each scaled by the lcm of its denominators,
     as integer lists [A1[i][i-2], A1[i][i-1], A1[i][i], A1[i][i+1],
     A1[i][i+2], Y1[i]] (0-based, zeros off the band); and the scales."""
     n = system.n
-    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
-                          system.b_tilde, system.y)
+    at, a, d, b, bt, y1 = (system.a_tilde, system.a, system.d, system.b,
+                           system.b_tilde, system.y1)
     rows, scales = [], []
     for i in range(n):
         j = n - 1 - i  # band index of A1 row i
         row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
-               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y[j]]
+               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y1[i]]
         scale = math.lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (scale // v.denominator) for v in row])
         scales.append(scale)
     return rows, scales
 
 
-def _band_bareiss(rows: list, scales: list):
+def _band_bareiss(rows: list, scales: list, *, rescue: bool = True):
     """Fraction-free band elimination of [A1 + xE | Y1] without pivoting.
 
     rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
     added, which in the unscaled system is the placeholder x itself.
+    With rescue false a zero D_k raises ZeroPivot(k + 1) instead, as
+    beta_(k+1) = D_k / D_(k-1); nothing is packed, and bits is 0.
     Polynomials in Z[x] are packed into ints by Kronecker substitution:
     p is stored as p(X) for X = 2**bits, so that ring operations and exact
     division in Z[x] are plain int operations. Every stored value is a
@@ -321,14 +352,16 @@ def _band_bareiss(rows: list, scales: list):
     Cramer numerators N_k = D_(n-1) x_k, all packed.
     """
     n = len(rows)
-    bits = math.prod(sum(map(abs, row)) + scale
-                     for row, scale in zip(rows, scales)).bit_length() + 1
+    bits = math.prod(sum(map(abs, row)) + scale for row, scale
+                     in zip(rows, scales)).bit_length() + 1 if rescue else 0
     replaced = []
     prev = 1
     for k in range(n):
         piv = rows[k]
         p = piv[2]
         if not p:
+            if not rescue:
+                raise ZeroPivot(k + 1)
             replaced.append(k + 1)
             p = piv[2] = (scales[k] << bits) * prev
         u1, u2, c = piv[3], piv[4], piv[5]

@@ -323,6 +323,24 @@ class TestProperties:
                 f"^vector {field}: entry {name} is {value}, not finite$")):
             solve(replace(ex31, **{field: vec}), mode="float")
 
+    @pytest.mark.parametrize("run", [
+        lambda s: solve(s, mode="exact"), solve_symbolic],
+        ids=["exact", "symbolic"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, name", [  # entry 3 of each vector
+        ("a_tilde", "a_tilde_3"), ("a", "a_3"), ("d", "d_3"), ("b", "b_4"),
+        ("b_tilde", "b_tilde_5"), ("y", "y_3")])
+    def test_exact_modes_reject_non_finite_entries(self, ex31, field, name,
+                                                   value, run):
+        # d_1 is an int beyond the float range: finite, so not named
+        changes = {"d": [10 ** 400, *ex31.d[1:]]}
+        vec = list(changes.get(field, getattr(ex31, field)))
+        vec[2] = value
+        changes[field] = vec
+        with pytest.raises(ValueError, match=(
+                f"^vector {field}: entry {name} is {value}, not finite$")):
+            run(replace(ex31, **changes))
+
     @pytest.mark.parametrize("value", [10 ** 400, F(-(10 ** 400), 3)],
                              ids=["int", "fraction"])
     @pytest.mark.parametrize("field, name", [  # entry 2 of three vectors
