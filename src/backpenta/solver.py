@@ -8,9 +8,9 @@ carries:
   replaced by a single placeholder symbol and all downstream quantities
   become rational functions of it.
 
-Exact answers come from one kernel, _band_bareiss, a fraction-free band
-elimination over Z[x]: exact solve stops at the first zero pivot, and
-solve_symbolic applies the rescue and evaluates at placeholder = 0.
+solve_symbolic computes the same rescue without rational-function
+arithmetic, by fraction-free band elimination over Z[x], and evaluates
+the finished solution and determinant at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -66,14 +66,22 @@ class LUFactors:
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a solve: x_1..x_n in original order plus diagnostics;
-    factors and z are derived on first read (equality ignores them)."""
+    factors and z are derived on first read from the solved system it
+    holds (not a copy), then cached; equality ignores them."""
 
     x: tuple
     det: object
     mode: str
     pivot_replacements: tuple = ()
     x_presub: Optional[tuple] = None  # symbolic mode: pre-substitution solution
-    _a1: Optional[PentaSystem] = field(default=None, repr=False, compare=False)
+    _system: Optional[BackwardPentaSystem] = field(
+        default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _a1(self) -> PentaSystem:  # lifted again: the solve's lift succeeded
+        if self.mode == "float":
+            return reverse_rows(self._system.map_scalars(float))
+        return _lift_exact(self._system)
 
     @functools.cached_property
     def factors(self) -> LUFactors:  # without tol: no pivot fell below it
@@ -197,12 +205,11 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
           tol: Optional[float] = None) -> SolveReport:
     """Solve AX=Y by LU factorization of the row-reversed system.
 
-    mode "exact" lifts all scalars to Fraction and runs _band_bareiss;
-    mode "float" lifts them to float and runs the recurrences. Raises
-    ZeroPivot(i) when a pivot is zero (with tol, in float mode, also when
-    |beta_i| < tol); the symbolic solver handles those cases. Raises
-    ValueError for tol in exact mode, and for an entry that is NaN or
-    infinite as a float; in float mode OverflowError, naming the entry,
+    mode "exact" lifts all scalars to Fraction; mode "float" to float.
+    Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
+    also when |beta_i| < tol); the symbolic solver handles those cases.
+    Raises ValueError for tol in exact mode, and for an entry that is NaN
+    or infinite as a float; in float mode OverflowError, naming the entry,
     for one beyond the float range.
     """
     if mode not in ("float", "exact"):
@@ -211,20 +218,17 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
         raise ValueError("tol applies to float mode only")
     if mode == "exact":
         p = _lift_exact(system)
-        rows, scales = _a1_rows(p)
-        _, _, det, numers = _band_bareiss(rows, scales, rescue=False)
-        return SolveReport(tuple(Fraction(v, det) for v in numers),
-                           Fraction(det, math.prod(scales)), mode, _a1=p)
-    try:
-        lifted = system.map_scalars(float)
-    except OverflowError:
-        _name_entry(system, OverflowError, _beyond_float_range)
-        raise
-    _require_finite(lifted)
-    p = reverse_rows(lifted)
+    else:
+        try:
+            lifted = system.map_scalars(float)
+        except OverflowError:
+            _name_entry(system, OverflowError, _beyond_float_range)
+            raise
+        _require_finite(lifted)
+        p = reverse_rows(lifted)
     lu = factor(p, tol=tol)
     x = back_substitute(p, lu, forward_sweep(p, lu))
-    return SolveReport(x=x, det=determinant(lu), mode=mode, _a1=p)
+    return SolveReport(x=x, det=determinant(lu), mode=mode, _system=system)
 
 
 _VECTORS = (*BANDS, ("y", 0))
@@ -279,8 +283,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     and x is their eval_at_zero. Raises ValueError, naming the entry, for
     one that is NaN or infinite as a float.
     """
-    p = _lift_exact(system)
-    rows, scales = _a1_rows(p)
+    rows, scales = _a1_rows(_lift_exact(system))
     bits, replaced, det, numers = _band_bareiss(rows, scales)
     det = _unpack(det, bits)
     numers = [_unpack(v, bits) for v in numers]
@@ -296,7 +299,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
         raise
     return SolveReport(x=x, det=Fraction(det[0], math.prod(scales)),
                        mode="symbolic", pivot_replacements=replaced,
-                       x_presub=x_presub, _a1=p)
+                       x_presub=x_presub, _system=system)
 
 
 def _lift_exact(system: BackwardPentaSystem) -> PentaSystem:
@@ -327,13 +330,11 @@ def _a1_rows(system: PentaSystem):
     return rows, scales
 
 
-def _band_bareiss(rows: list, scales: list, *, rescue: bool = True):
+def _band_bareiss(rows: list, scales: list):
     """Fraction-free band elimination of [A1 + xE | Y1] without pivoting.
 
     rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
     added, which in the unscaled system is the placeholder x itself.
-    With rescue false a zero D_k raises ZeroPivot(k + 1) instead, as
-    beta_(k+1) = D_k / D_(k-1); nothing is packed, and bits is 0.
     Polynomials in Z[x] are packed into ints by Kronecker substitution:
     p is stored as p(X) for X = 2**bits, so that ring operations and exact
     division in Z[x] are plain int operations. Every stored value is a
@@ -352,16 +353,14 @@ def _band_bareiss(rows: list, scales: list, *, rescue: bool = True):
     Cramer numerators N_k = D_(n-1) x_k, all packed.
     """
     n = len(rows)
-    bits = math.prod(sum(map(abs, row)) + scale for row, scale
-                     in zip(rows, scales)).bit_length() + 1 if rescue else 0
+    bits = math.prod(sum(map(abs, row)) + scale
+                     for row, scale in zip(rows, scales)).bit_length() + 1
     replaced = []
     prev = 1
     for k in range(n):
         piv = rows[k]
         p = piv[2]
         if not p:
-            if not rescue:
-                raise ZeroPivot(k + 1)
             replaced.append(k + 1)
             p = piv[2] = (scales[k] << bits) * prev
         u1, u2, c = piv[3], piv[4], piv[5]

@@ -1,44 +1,50 @@
-"""Exact solve on the band Bareiss kernel, and the report's lazy factors.
+"""Exact solve against the band Bareiss kernel, and the lazy factors.
 
-Exact solve runs _band_bareiss without the rescue. It must agree with the
-Fraction recurrences it replaced (factor, forward_sweep, back_substitute
-and determinant): equal x, det, ZeroPivot index, factors and z. Every
-report, in every mode, derives its factors and z on first read from the
-solved system, and they must equal the recurrences run on that system.
+Exact solve runs the Fraction recurrences (factor, forward_sweep,
+back_substitute, determinant); solve_symbolic runs _band_bareiss. Without
+a zero pivot the kernel must give the same x and det, and it must replace
+first the pivot at which the recurrences raise ZeroPivot. Every report,
+in every mode, derives its factors and z on first read from the solved
+system, and they must equal the recurrences run on that system.
 """
 
+import math
 from array import array
 from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, ZeroPivot, back_substitute,
-                       determinant, factor, factor_symbolic,
+from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
                        force_interior_zero_pivot, forward_sweep, generate,
                        reverse_rows, solve, solve_symbolic)
+from backpenta.solver import _a1_rows, _band_bareiss
 
 SIZES = range(5, 45)
 ZEROS = ((), ("d_n",), ("d_3",))  # entries zeroed by generate
 
 
-def _recurrences(system):
-    """(x, det, factors, z) from the Fraction recurrences, or the
-    ZeroPivot index."""
-    p = reverse_rows(system.map_scalars(Fraction))
-    try:
-        lu = factor(p)
-    except ZeroPivot as exc:
-        return exc.index
-    z = forward_sweep(p, lu)
-    return back_substitute(p, lu, z), determinant(lu), lu, z
-
-
-def _kernel(system):
+def _exact(system):
+    """(x, det) from exact solve, or the ZeroPivot index; the report's
+    factors and z must be the recurrences' own."""
     try:
         report = solve(system, mode="exact")
     except ZeroPivot as exc:
         return exc.index
-    return report.x, report.det, report.factors, report.z
+    p = reverse_rows(system.map_scalars(Fraction))
+    lu = factor(p)
+    assert report.factors == lu and report.z == forward_sweep(p, lu)
+    return report.x, report.det
+
+
+def _kernel(system):
+    """(x, det) from _band_bareiss, or the first replaced pivot."""
+    rows, scales = _a1_rows(reverse_rows(system.map_scalars(Fraction)))
+    _, replaced, det, numers = _band_bareiss(rows, scales)
+    if replaced:
+        return replaced[0]
+    # nothing replaced: every packed value is a plain int
+    return (tuple(Fraction(v, det) for v in numers),
+            Fraction(det, math.prod(scales)))
 
 
 def _systems():
@@ -58,10 +64,10 @@ def _systems():
                 yield "interior", forced
 
 
-def test_exact_solve_matches_the_fraction_recurrences():
+def test_exact_solve_matches_the_band_kernel():
     stops, solved = set(), 0
     for label, system in _systems():
-        want = _recurrences(system)
+        want = _exact(system)
         assert _kernel(system) == want, (label, system.n)
         if isinstance(want, int):
             stops.add("leading" if want == 1 else label)
@@ -71,9 +77,9 @@ def test_exact_solve_matches_the_fraction_recurrences():
     assert solved >= len(SIZES)
 
 
-def test_large_exact_solve_matches_the_fraction_recurrences():
+def test_large_exact_solve_matches_the_band_kernel():
     system = generate(GeneratorConfig(seed=4, n=1000))
-    want = _recurrences(system)
+    want = _exact(system)
     assert not isinstance(want, int)
     assert _kernel(system) == want
 
@@ -93,15 +99,6 @@ def test_float_report_factors_are_bit_identical(ex31, app1, tol):
                 == _float_bytes(lu, forward_sweep(p, lu)))
 
 
-def test_exact_report_factors_match_the_recurrences(ex31, app1):
-    for system in (ex31, app1):
-        report = solve(system, mode="exact")
-        p = reverse_rows(system.map_scalars(Fraction))
-        lu = factor(p)
-        assert report.factors == lu
-        assert report.z == forward_sweep(p, lu)
-
-
 def test_symbolic_report_factors_match_the_recurrences(ex31, ex32, app2):
     for system in (ex31, ex32, app2):
         report = solve_symbolic(system)
@@ -117,4 +114,4 @@ def test_factors_are_cached_and_outside_equality(ex32):
     assert report.factors is report.factors
     assert report.z is report.z
     assert report == again and hash(report) == hash(again)
-    assert "_a1" not in repr(report)
+    assert "_system" not in repr(report)
