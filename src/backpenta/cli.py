@@ -19,11 +19,14 @@ same output either way.
 check runs solve_symbolic once; "mode: exact" means no pivot was replaced.
 
 Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
-(bad arguments, --tol outside float mode), "error: ..." (unreadable or
-malformed file, a float-mode literal beyond the float range, bad gen
-arguments, unwritable --out) or stdout closed by its reader (`| head`;
-nothing on stderr); 2 zero pivot (float/exact); 3 "singular: ..." or
-check's SINGULAR; 4 check: the banded and dense solutions differ.
+(bad arguments, --tol outside float mode, NaN or below 0), "error: ..."
+(unreadable or malformed file, a float-mode literal beyond the float range,
+bad gen arguments, unwritable --out) or stdout closed by its reader
+(`| head`; nothing on stderr); 2 zero pivot (float/exact); 3 "singular: ..."
+or check's SINGULAR; 4 check: the banded and dense solutions differ.
+
+solve writes x (and the det line) in one write, once every value is
+formatted.
 """
 
 from __future__ import annotations
@@ -58,15 +61,6 @@ class UsageError(Exception):
 _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
 
 
-def _parse_entries(line: str) -> list:
-    # The checks in parse_system_text leave no token that int reads and
-    # Fraction rejects, and a token over the digit limit fails both ways.
-    try:
-        return list(map(int, line.split()))
-    except ValueError:
-        return [from_literal(tok) for tok in line.split()]
-
-
 def parse_system_text(text: str) -> BackwardPentaSystem:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -78,13 +72,29 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"first data line must be n, got {lines[0]!r}") from None
-    # Fraction takes '_' from Python 3.11 on; long exponents parse slowly
+    # Line by line: ASCII and no '_' (int takes both non-ASCII digits and
+    # '_', Fraction takes '_' from Python 3.11 on), then int, then, on a
+    # line int rejects, the scan for long exponents, which parse slowly
+    # (int reads no exponent). Those lines go through Fraction only once
+    # every line has passed its checks. The checks leave no token that int
+    # reads and Fraction rejects, and a token over the digit limit fails
+    # both ways.
+    vectors, fraction_lines = [], []
     for k, ln in enumerate(lines[1:], 2):
-        if not ln.isascii() or "_" in ln or _LONG_EXPONENT.search(ln):
-            raise ParseError(f"data line {k}: entries must be ASCII, without "
-                             "'_', with exponents of at most 4 digits")
+        if ln.isascii() and "_" not in ln:
+            try:
+                vectors.append(list(map(int, ln.split())))
+                continue
+            except ValueError:
+                if not _LONG_EXPONENT.search(ln):
+                    fraction_lines.append(len(vectors))
+                    vectors.append(ln.split())
+                    continue
+        raise ParseError(f"data line {k}: entries must be ASCII, without "
+                         "'_', with exponents of at most 4 digits")
     try:
-        vectors = [_parse_entries(ln) for ln in lines[1:]]
+        for i in fraction_lines:
+            vectors[i] = list(map(from_literal, vectors[i]))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if len(vectors[2]) != n:
@@ -122,6 +132,8 @@ def format_system(system: BackwardPentaSystem, header: str = "") -> str:
 def cmd_solve(args) -> int:
     if args.tol is not None and args.mode != "float":
         raise UsageError("--tol applies to --mode float only")
+    if args.tol is not None and not args.tol >= 0:
+        raise UsageError(f"--tol must be >= 0, got {args.tol!r}")
     system = _read(args.path)
     if args.mode == "symbolic":
         report = solve_symbolic(system)
@@ -132,10 +144,10 @@ def cmd_solve(args) -> int:
         print("beta  =", *report.factors.beta)
         print("gamma =", *report.factors.gamma)
         print("z     =", *report.z)
-    for xi in report.x:
-        print(xi)
+    lines = list(map(str, report.x))
     if args.det:
-        print(f"det(A1) = {report.det}")
+        lines.append(f"det(A1) = {report.det}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

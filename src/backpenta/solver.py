@@ -208,14 +208,16 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     mode "exact" lifts all scalars to Fraction; mode "float" to float.
     Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
     also when |beta_i| < tol); the symbolic solver handles those cases.
-    Raises ValueError for tol in exact mode, and for an entry that is NaN
-    or infinite as a float; in float mode OverflowError, naming the entry,
-    for one beyond the float range.
+    Raises ValueError for tol in exact mode, for a tol that is NaN or
+    negative, and for an entry that is NaN or infinite as a float; in float
+    mode OverflowError, naming the entry, for one beyond the float range.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
     if mode == "exact" and tol is not None:
         raise ValueError("tol applies to float mode only")
+    if tol is not None and not tol >= 0:  # |beta| < nan is never true
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if mode == "exact":
         p = _lift_exact(system)
     else:

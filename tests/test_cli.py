@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -325,6 +328,35 @@ class TestSolveCommand:
         assert captured.err.startswith("usage error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("arg, shown", [("--tol=nan", "nan"),
+                                            ("--tol=-1", "-1.0")])
+    def test_nan_or_negative_tol_is_usage_error(self, tmp_path, arg, shown,
+                                                capsys):
+        # rejected before the file is read: this one does not exist
+        path = str(tmp_path / "missing.txt")
+        assert main(["solve", path, "--mode", "float", arg]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: --tol must be >= 0, got {shown}\n")
+
+    # Checks run line by line (ASCII and '_', then int, then the exponent
+    # scan on a line int rejects); Fraction parses only after every check.
+    @pytest.mark.parametrize("edits, line", [
+        ({3: "-1 -2 1 4e10000", 5: "4 1 2 \u0661"}, 3),
+        ({2: "3 2 q", 6: "1 2 1e10000"}, 6),
+        ({7: "1_0 26 20 14 4"}, 7),  # int reads '1_0'
+    ], ids=["exponent-before-non-ascii", "checks-before-parsing",
+            "underscore-in-integer-line"])
+    def test_first_fault_in_line_order(self, tmp_path, capsys, edits, line):
+        lines = EX31_FILE.splitlines()  # data line k is lines[k]
+        for k, text in edits.items():
+            lines[k] = text
+        p = tmp_path / "faults.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["solve", str(p)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: data line {line}: entries must be ASCII, without "
+            "'_', with exponents of at most 4 digits\n")
+
     def test_byte_deterministic(self, ex31_path, capsys):
         main(["solve", ex31_path, "--det"])
         first = capsys.readouterr().out
@@ -349,18 +381,29 @@ class TestSolveCommand:
         assert done.stdout.splitlines() == ["1", "2", "3", "4", "5",
                                             "det(A1) = 160"]
 
-    @pytest.mark.parametrize("n", [5, 400])  # fails at exit flush / in print
-    def test_closed_stdout_pipe(self, tmp_path, n):
+    # The answers of n = 5 and 400 fit in the stream buffer, so the pipe
+    # fails at entry's flush. Float x at n = 5000 (about 100 KB) is larger
+    # than the buffer and the pipe, so it fails inside cmd_solve's write.
+    @pytest.mark.parametrize("n, mode", [
+        (5, "symbolic"), (400, "symbolic"), (5000, "float")],
+        ids=["5", "400", "5000"])
+    def test_closed_stdout_pipe(self, tmp_path, n, mode):
         path = tmp_path / "sys.txt"
-        path.write_text(format_system(generate(
-            GeneratorConfig(seed=1, n=n, force_zero_pivots=("d_n",)))))
+        if mode == "float":  # diagonally dominant: no zero pivot
+            rng = random.Random(n)
+            path.write_text(format_system(new_system(
+                [1] * (n - 2), [-1] * (n - 1), [10] * n, [2] * (n - 1),
+                [1] * (n - 2), [rng.randint(-99, 99) for _ in range(n)])))
+        else:
+            path.write_text(format_system(generate(
+                GeneratorConfig(seed=1, n=n, force_zero_pivots=("d_n",)))))
         src = os.path.dirname(os.path.dirname(backpenta.__file__))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "backpenta", "solve", str(path),
-                 "--mode", "symbolic"], stdout=write_end,
+                 "--mode", mode], stdout=write_end,
                 stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
                 timeout=60)
         finally:
@@ -368,17 +411,80 @@ class TestSolveCommand:
         assert (done.returncode, done.stderr) == (1, b"")
 
 
-def _full_str(value):
-    # str() of a value of any length, with the caller's digit limit back
-    # afterwards (Python 3.10.0-3.10.6 has no limit and no setter)
+@contextlib.contextmanager
+def _digit_limit_lifted():
+    # values of any length print in full, and the caller's digit limit is
+    # back afterwards (Python 3.10.0-3.10.6 has no limit and no setter)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _full_str(value):
+    with _digit_limit_lifted():
+        return str(value)
+
+
+def _print_per_value(report, flags):
+    """solve's stdout built with one print per value, from report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), _digit_limit_lifted():
+        if "--dump-factors" in flags:
+            print("alpha =", *report.factors.alpha)
+            print("beta  =", *report.factors.beta)
+            print("gamma =", *report.factors.gamma)
+            print("z     =", *report.z)
+        for xi in report.x:
+            print(xi)
+        if "--det" in flags:
+            print(f"det(A1) = {report.det}")
+    return out.getvalue()
+
+
+class TestOneWrite:
+    """solve writes its answer in one call; its bytes must be those of one
+    print per value from the report main computed."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("one_write")
+        (d / "ex31.txt").write_text(EX31_FILE)
+        (d / "1e9999.txt").write_text(
+            EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 1e9999"))
+        # seed 1 at n = 2000 has no zero pivot
+        assert main(["gen", "--seed", "1", "--n", "2000",
+                     "--out", str(d / "gen2000.txt")]) == 0
+        return d
+
+    # 1e9999 is beyond the float range, so float mode rejects that file
+    @pytest.mark.parametrize("name, mode", [
+        (name, mode) for name in ("ex31", "1e9999", "gen2000")
+        for mode in ("float", "exact", "symbolic")
+        if (name, mode) != ("1e9999", "float")])
+    @pytest.mark.parametrize("flags", [["--det"], [], ["--dump-factors"]],
+                             ids=["det", "plain", "dump-factors"])
+    def test_stdout_matches_print_per_value(self, paths, name, mode, flags,
+                                            monkeypatch, capsys):
+        reports = []
+
+        def recording(fn):
+            def run(*args, **kwargs):
+                reports.append(fn(*args, **kwargs))
+                return reports[-1]
+            return run
+
+        for fn in (cli.solve, cli.solve_symbolic):
+            monkeypatch.setattr(cli, fn.__name__, recording(fn))
+        path = str(paths / f"{name}.txt")
+        assert main(["solve", path, "--mode", mode, *flags]) == 0
+        captured = capsys.readouterr()
+        assert len(reports) == 1 and captured.err == ""
+        assert captured.out == _print_per_value(reports[0], flags)
 
 
 class TestLongValues:

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
                        forward_sweep, generate, new_system, reverse_rows,
                        solve, solve_symbolic)
 from backpenta.instrument import CountingScalar, OpCounter
+from backpenta.systems import BANDS
 
 F = Fraction
 
@@ -352,6 +354,65 @@ class TestProperties:
         with pytest.raises(ValueError):
             solve(ex31, mode="exact", tol=5.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_rejected(self, ex31, tol):
+        # |beta_i| < nan and |beta_i| < -1 are never true: such a tol
+        # would be silently ignored
+        with pytest.raises(ValueError,
+                           match=rf"^tol must be >= 0, got {tol!r}$"):
+            solve(ex31, mode="float", tol=tol)
+        assert solve(ex31, mode="float", tol=0.0).x == solve(
+            ex31, mode="float").x
+
     def test_unknown_mode(self, ex31):
         with pytest.raises(ValueError):
             solve(ex31, mode="symbolic")
+
+
+def _solve_banded(system):
+    """x from LAPACK's banded solver (partial pivoting) on A1 X = Y1."""
+    np = pytest.importorskip("numpy")
+    linalg = pytest.importorskip("scipy.linalg")
+    n = system.n
+    ab = np.zeros((5, n))  # ab[2 + i - j, j] = A1[i, j]
+    for field, k in BANDS:
+        # entry j sits in row r of A, so in row n - 1 - r of A1, column + k
+        for j, v in enumerate(getattr(system, field)):
+            ab[2 - k, n - 1 - j - max(k, 0) + k] = v
+    return linalg.solve_banded((2, 2), ab,
+                               np.array(reverse_rows(system).y1, dtype=float))
+
+
+def _assert_close(x, ref):
+    # normwise relative error: known solutions have zero entries
+    assert max(abs(a - b) for a, b in zip(x, ref)) <= 1e-9 * max(map(abs, ref))
+
+
+class TestFloatAgainstScipy:
+    """Float solve (no pivoting) against scipy.linalg.solve_banded on
+    systems with no zero pivot."""
+
+    def test_generated_systems(self):
+        checked = 0
+        for seed in range(112):
+            s = generate(GeneratorConfig(seed=seed, n=5 + seed % 56,
+                                         known_solution=seed % 2 == 0))
+            try:
+                solve(s, mode="exact")
+            except ZeroPivot:
+                continue
+            _assert_close(solve(s, mode="float").x, _solve_banded(s))
+            checked += 1
+        assert checked >= 90
+
+    def test_diagonally_dominant_system_at_scale(self):
+        rng = random.Random(11)
+        n = 5000
+
+        def band(m):
+            return [rng.uniform(-2, 2) for _ in range(m)]
+        s = new_system(band(n - 2), band(n - 1),
+                       [rng.choice((-1, 1)) * rng.uniform(9, 10)
+                        for _ in range(n)],
+                       band(n - 1), band(n - 2), band(n))
+        _assert_close(solve(s, mode="float").x, _solve_banded(s))
