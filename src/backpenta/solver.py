@@ -355,8 +355,7 @@ def _band_bareiss(rows: list, scales: list):
     Cramer numerators N_k = D_(n-1) x_k, all packed.
     """
     n = len(rows)
-    bits = math.prod(sum(map(abs, row)) + scale
-                     for row, scale in zip(rows, scales)).bit_length() + 1
+    bits = _slot_bits(rows, scales)
     replaced = []
     prev = 1
     for k in range(n):
@@ -387,6 +386,49 @@ def _band_bareiss(rows: list, scales: list):
         _, _, dk, u1, u2, c = rows[k]
         numers[k] = (c * prev - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
     return bits, tuple(replaced), prev, numers[:n]
+
+
+def _slot_bits(rows: list, scales: list) -> int:
+    """Slot width for the packed minors of the rows: one more than the bit
+    length of the product of their absolute row sums plus scales. The
+    product runs over a pairwise tree, O(n log n) bit work where a
+    left-to-right product costs O(n^2)."""
+    terms = [sum(map(abs, row)) + scale for row, scale in zip(rows, scales)]
+    while len(terms) > 1:
+        terms = [a * b for a, b in zip(terms[::2], terms[1::2])] + (
+            terms[-1:] if len(terms) % 2 else [])
+    return math.prod(terms).bit_length() + 1
+
+
+def _band_minors(rows: list, scales: list):
+    """Leading minors D_1..D_m of the scaled A1 + xE, with no division.
+
+    rows and scales come from _a1_rows (only the five band entries of a
+    row are read); x, E, the packing and bits are those of _band_bareiss,
+    which gives the same D_k and replaces the same pivots. A six-state
+    transfer recurrence (the banded case of Molinari, Linear Algebra Appl.
+    429 (2008); Sogabe, Appl. Math. Comput. 196 (2008)): after rows
+    0..k-1, f_ab is det(rows 0..k-1; columns 0..k+1 but k+a and k+b) for
+    -2 <= a < b <= 1. A Laplace expansion along row k gives the next six
+    in 12 products, and D_(k+1) is the new f_01. Returns bits, the 1-based
+    replaced pivots and the packed D_1..D_m.
+    """
+    bits = _slot_bits(rows, scales)
+    fm2m1 = fm20 = fm21 = fm10 = fm11 = 0
+    f01 = 1
+    replaced, minors = [], []
+    for k, (row, scale) in enumerate(zip(rows, scales)):
+        r0, r1, r2, r3, r4 = row[:5]
+        d = r0 * fm21 - r1 * fm11 + r2 * f01
+        if not d:  # redo the step with scale * x added to the diagonal
+            replaced.append(k + 1)
+            r2 += scale << bits
+            d = (scale << bits) * f01
+        fm2m1, fm20, fm21, fm10, fm11, f01 = (
+            r4 * fm10, r4 * fm11, r0 * fm2m1 - r2 * fm10 + r3 * fm11,
+            r4 * f01, r0 * fm20 - r1 * fm10 + r3 * f01, d)
+        minors.append(d)
+    return bits, tuple(replaced), minors
 
 
 def _unpack(v: int, bits: int) -> list:
