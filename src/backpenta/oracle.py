@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfunc import RationalFunction
-from .solver import factor_symbolic
-from .systems import BANDS, BackwardPentaSystem, new_system, reverse_rows
+from .solver import _a1_rows, _band_minors, _lift_exact, _unpack
+from .systems import BANDS, BackwardPentaSystem, new_system
 
 _MASK64 = (1 << 64) - 1
 
@@ -190,19 +189,27 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     beta_i depends on d_(n-i+1) only through an additive term, and the
     pivots before i do not read that entry, so shifting it by -beta_i
     zeroes the pivot without disturbing beta_1..beta_(i-1). Returns the
-    modified system, or None when beta_i is not a constant (an earlier
-    pivot was already zero, so the system already exercises the rescue
-    path).
+    modified system, with Fraction entries, or None when beta_i is not a
+    constant (an earlier pivot was already zero, so the system already
+    exercises the rescue path). Raises ValueError, naming the entry, for
+    one that is NaN or infinite as a float.
+
+    beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
+    xE (see solve_symbolic), and reads only rows 1..i of A1; the minors
+    come from the division-free recurrence of solver._band_minors.
     """
     n = system.n
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
-    exact = system.map_scalars(Fraction)
-    beta_i = factor_symbolic(reverse_rows(exact)).beta[i - 1]
-    if isinstance(beta_i, RationalFunction):  # after an earlier replacement
-        if beta_i.num.degree > 0 or beta_i.den.degree > 0:
-            return None
-        beta_i = beta_i.eval_at_zero()
-    d = list(exact.d)
-    d[n - i] -= beta_i  # d_(n-i+1)
-    return new_system(exact.a_tilde, exact.a, d, exact.b, exact.b_tilde, exact.y)
+    p = _lift_exact(system)
+    rows, scales = _a1_rows(p)
+    bits, _, minors = _band_minors(rows[:i], scales[:i])
+    # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
+    # exactly when D_i is a constant multiple of D_(i-1)
+    di, dp = _unpack(minors[i - 1], bits), _unpack(minors[i - 2], bits)
+    if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
+                                 for u, v in zip(di, dp)):
+        return None
+    d = list(p.d)
+    d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
+    return new_system(p.a_tilde, p.a, d, p.b, p.b_tilde, p.y1[::-1])

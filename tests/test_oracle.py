@@ -1,11 +1,14 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from backpenta import (GeneratorConfig, RationalFunction, Singular,
                        SplitMix64, densify, dense_det, dense_solve,
-                       force_interior_zero_pivot, generate, new_system,
-                       reverse_rows, solve)
+                       force_interior_zero_pivot, generate, laplacian_system,
+                       new_system, reverse_rows, solve)
+from backpenta import solver
 from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
 
@@ -187,33 +190,77 @@ class TestForcedInteriorPivot:
         assert i in lu.replacements
 
 
-def _force_lifted(system, i):
-    # force_interior_zero_pivot as first written: every scalar lifted into
-    # Q(x) before factor_symbolic
+def _force_factor_symbolic(system):
+    # force_interior_zero_pivot as it was before the band minors, for every
+    # i = 2..n at once: beta_i from factor_symbolic over all n rows, with
+    # Q(x) arithmetic after any zero pivot
     n = system.n
     exact = system.map_scalars(Fraction)
-    lifted = exact.map_scalars(RationalFunction.constant)
-    beta_i = factor_symbolic(reverse_rows(lifted)).beta[i - 1]
-    if beta_i.num.degree > 0 or beta_i.den.degree > 0:
-        return None
-    d = list(exact.d)
-    d[n - i] -= beta_i.eval_at_zero()
-    return new_system(exact.a_tilde, exact.a, d, exact.b, exact.b_tilde, exact.y)
+    forced = {}
+    for i, beta_i in enumerate(factor_symbolic(reverse_rows(exact)).beta, 1):
+        if isinstance(beta_i, RationalFunction):  # after an earlier replacement
+            if beta_i.num.degree > 0 or beta_i.den.degree > 0:
+                forced[i] = None
+                continue
+            beta_i = beta_i.eval_at_zero()
+        d = list(exact.d)
+        d[n - i] -= beta_i
+        forced[i] = new_system(exact.a_tilde, exact.a, d, exact.b,
+                               exact.b_tilde, exact.y)
+    return forced
+
+
+def _with_denominators(system, seed):
+    # the same zeros, with every entry divided by a seeded 1..5
+    rng = SplitMix64(seed)
+    return system.map_scalars(lambda v: Fraction(v, 1 + rng.next_u64() % 5))
 
 
 class TestForcedInteriorMatchesLiftedFormula:
     @pytest.mark.parametrize("n", [5, 6, 7, 9])
     def test_identical_systems(self, n):
-        zeros = ((), ("d_n",), ("d_1",), ("a_1", "b_2"))
+        zeros = ((), ("d_n",), ("d_1",), ("a_1", "b_2"), ("d_n", "d_3"))
+        nones = 0
         for seed in range(80):
             for m in (1, 2, 9):
                 cfg = GeneratorConfig(seed=seed * 7919 + n, n=n, entry_range=m,
-                                      force_zero_pivots=zeros[seed % 4])
-                base, i = generate(cfg), 2 + seed % (n - 1)
-                assert force_interior_zero_pivot(base, i) == _force_lifted(base, i)
+                                      force_zero_pivots=zeros[seed % 5])
+                base = generate(cfg)
+                if seed % 2:
+                    base = _with_denominators(base, seed)
+                forced = _force_factor_symbolic(base)
+                for i in range(2, n + 1):
+                    assert force_interior_zero_pivot(base, i) == forced[i], (
+                        cfg, i)
+                    nones += forced[i] is None
+        assert 0 < nones < 240 * (n - 1)
 
     def test_identical_systems_n40(self):
         for seed in range(20):
             for m in (1, 9):
                 base = generate(GeneratorConfig(seed=seed, n=40, entry_range=m))
-                assert force_interior_zero_pivot(base, 20) == _force_lifted(base, 20)
+                forced = _force_factor_symbolic(base)
+                for i in range(2, 41):
+                    assert force_interior_zero_pivot(base, i) == forced[i]
+
+    def test_no_rational_function_arithmetic(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Q(x) arithmetic in the oracle")
+
+        monkeypatch.setattr(solver, "factor_symbolic", fail)
+        for name, attr in vars(RationalFunction).items():
+            if callable(attr) and name not in ("__repr__", "__str__"):
+                monkeypatch.setattr(RationalFunction, name, fail)
+        forced = [force_interior_zero_pivot(
+            generate(GeneratorConfig(seed=seed, n=12, entry_range=2,
+                                     force_zero_pivots=("d_n", "d_3"))), i)
+            for seed in range(4) for i in range(2, 13)]
+        assert None in forced and any(forced)
+
+    @pytest.mark.parametrize("y, text", [
+        ([1.0, math.nan, 0, 0, 0, 0], "vector y: entry y_2 is nan, not finite"),
+        ([1.0, 0, 0, 0, 0, -math.inf], "vector y: entry y_6 is -inf, not finite"),
+    ])
+    def test_names_non_finite_entry(self, y, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            force_interior_zero_pivot(laplacian_system(6, y), 3)

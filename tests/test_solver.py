@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
                        RationalFunction, ZeroPivot, back_substitute, densify,
@@ -229,6 +230,40 @@ class TestDeterminant:
             lu = exact_factor(s)
         except ZeroPivot:
             return
+        assert det_original(lu) == dense_det(densify(s))
+
+
+@st.composite
+def _small_systems(draw):
+    # n = 5..9, entries k/q with k in [-9, 9] and q in 1..4
+    n = draw(st.integers(5, 9))
+    entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    vector = lambda size: draw(st.lists(entries, min_size=size,
+                                        max_size=size))
+    return new_system(vector(n - 2), vector(n - 1), vector(n), vector(n - 1),
+                      vector(n - 2), vector(n))
+
+
+class TestDeterminantProperties:
+    """Both determinants against the dense oracle, on systems with no zero
+    pivot (a zero pivot ends exact mode before any det)."""
+
+    @settings(deadline=None)
+    @given(_small_systems())
+    def test_exact_solve_det_is_dense_det_of_a1(self, s):
+        try:
+            report = solve(s)
+        except ZeroPivot:
+            assume(False)
+        assert report.det == dense_det(densify(reverse_rows(s)))
+
+    @settings(deadline=None)
+    @given(_small_systems())
+    def test_det_original_is_dense_det(self, s):
+        try:
+            lu = factor(reverse_rows(s))
+        except ZeroPivot:
+            assume(False)
         assert det_original(lu) == dense_det(densify(s))
 
 
