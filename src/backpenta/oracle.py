@@ -9,6 +9,10 @@ The generator's PRNG is splitmix64, fixed so the same seed produces the
 same system on every platform. Entries in [-m, m] are drawn as
 ``next_u64() % (2m+1) - m`` (modulo bias is negligible for the tiny
 ranges used here and keeps the mapping trivially portable).
+
+force_interior_zero_pivot builds systems whose pivot beta_i is exactly
+zero, from the leading minors of solver._band_minors: integer arithmetic
+over the first i rows, with no rational-function arithmetic.
 """
 
 from __future__ import annotations

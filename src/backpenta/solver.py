@@ -409,9 +409,9 @@ def _band_minors(rows: list, scales: list):
     transfer recurrence (the banded case of Molinari, Linear Algebra Appl.
     429 (2008); Sogabe, Appl. Math. Comput. 196 (2008)): after rows
     0..k-1, f_ab is det(rows 0..k-1; columns 0..k+1 but k+a and k+b) for
-    -2 <= a < b <= 1. A Laplace expansion along row k gives the next six
-    in 12 products, and D_(k+1) is the new f_01. Returns bits, the 1-based
-    replaced pivots and the packed D_1..D_m.
+    -2 <= a < b <= 1 (fm2m1 is f_(-2)(-1)). A Laplace expansion along row
+    k gives the next six in 12 products, and D_(k+1) is the new f_01.
+    Returns bits, the 1-based replaced pivots and the packed D_1..D_m.
     """
     bits = _slot_bits(rows, scales)
     fm2m1 = fm20 = fm21 = fm10 = fm11 = 0
