@@ -205,9 +205,9 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     n = system.n
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
-    p = _lift_exact(system)
-    rows, scales = _a1_rows(p)
-    bits, _, minors = _band_minors(rows[:i], scales[:i])
+    p = _lift_exact(system)  # all of it: a NaN anywhere is named
+    rows, scales = _a1_rows(p, i)
+    bits, _, minors = _band_minors(rows, scales)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
     # exactly when D_i is a constant multiple of D_(i-1)
     di, dp = _unpack(minors[i - 1], bits), _unpack(minors[i - 2], bits)

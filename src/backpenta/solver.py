@@ -314,15 +314,16 @@ def _lift_exact(system: BackwardPentaSystem) -> PentaSystem:
     return reverse_rows(lifted)
 
 
-def _a1_rows(system: PentaSystem):
+def _a1_rows(system: PentaSystem, m: Optional[int] = None):
     """Rows i of [A1 | Y1], each scaled by the lcm of its denominators,
     as integer lists [A1[i][i-2], A1[i][i-1], A1[i][i], A1[i][i+1],
-    A1[i][i+2], Y1[i]] (0-based, zeros off the band); and the scales."""
+    A1[i][i+2], Y1[i]] (0-based, zeros off the band); and the scales.
+    Only the leading m rows when m is given."""
     n = system.n
     at, a, d, b, bt, y1 = (system.a_tilde, system.a, system.d, system.b,
                            system.b_tilde, system.y1)
     rows, scales = [], []
-    for i in range(n):
+    for i in range(n if m is None else m):
         j = n - 1 - i  # band index of A1 row i
         row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
                b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y1[i]]
