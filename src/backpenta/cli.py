@@ -32,6 +32,7 @@ formatted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -251,10 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

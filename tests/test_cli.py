@@ -363,6 +363,32 @@ class TestSolveCommand:
         main(["solve", ex31_path, "--det"])
         assert capsys.readouterr().out == first
 
+    def test_consecutive_calls_share_no_state(self, ex31_path, capsys):
+        # main builds its parser once per process; flags, defaults and a
+        # usage error must not carry over from one call to the next
+        runs = [
+            (["solve", ex31_path, "--mode", "exact", "--det"], 0,
+             "1\n2\n3\n4\n5\ndet(A1) = 160\n"),
+            (["solve", ex31_path], 0, "1\n2\n3\n4\n5\n"),
+            (["solve", ex31_path, "--mode", "quantum"], 1, ""),
+            (["gen", "--seed", "1", "--n", "6", "--zero", "d_n"], 0, None),
+            (["gen", "--seed", "1", "--n", "6"], 0, None),
+            (["solve", ex31_path, "--mode", "float"], 0,
+             "1.0\n2.0\n3.0\n4.0\n5.0\n"),
+        ]
+        captured = []
+        for argv, code, out in runs:
+            assert main(argv) == code, argv
+            captured.append(capsys.readouterr())
+            if out is not None:
+                assert captured[-1].out == out, argv
+        assert captured[2].err.startswith("usage error: argument --mode: ")
+        assert all(c.err == "" for k, c in enumerate(captured) if k != 2)
+        # the second gen has no --zero: the first one's list is not kept
+        zeroed, plain = (c.out.splitlines() for c in captured[3:5])
+        assert zeroed[0].endswith(" zero=d_n") and "zero" not in plain[0]
+        assert zeroed[4].split()[-1] == "0" and zeroed[4] != plain[4]
+
     def test_float_overflowing_literal(self, tmp_path, capsys):
         p = tmp_path / "huge.txt"
         p.write_text(EX31_FILE.replace("1 2 2 -2 -1", "1 2 2 -2 1e400"))
