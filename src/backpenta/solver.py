@@ -8,6 +8,11 @@ carries:
   replaced by a single placeholder symbol and all downstream quantities
   become rational functions of it.
 
+Float and exact solve run the same operations fused into one pass that
+lifts each entry as it reads it (_streamed_solve); factor, forward_sweep
+and back_substitute are the reference that pass is tested against, and
+derive a report's factors and z.
+
 solve_symbolic computes the same rescue without rational-function
 arithmetic, by fraction-free band elimination over Z[x], and evaluates
 the finished solution and determinant at placeholder = 0.
@@ -19,6 +24,7 @@ conventional subscripts (beta_1 .. beta_n).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -211,6 +217,13 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     Raises ValueError for tol in exact mode, for a tol that is NaN or
     negative, and for an entry that is NaN or infinite as a float; in float
     mode OverflowError, naming the entry, for one beyond the float range.
+    An entry's error comes before any ZeroPivot, whichever is met first.
+
+    The values are those of factor, forward_sweep, back_substitute and
+    determinant on the lifted A1, computed by _streamed_solve in one pass
+    that lifts each entry as it reads it. The entries are checked only
+    when that pass raises or, in float mode, gives a pivot or a component
+    of x that is not finite.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
@@ -218,19 +231,105 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
         raise ValueError("tol applies to float mode only")
     if tol is not None and not tol >= 0:  # |beta| < nan is never true
         raise ValueError(f"tol must be >= 0, got {tol!r}")
+    if not isinstance(system, BackwardPentaSystem):
+        # a PentaSystem (A1) is already reversed and has no map_scalars
+        raise AttributeError(f"solve takes a BackwardPentaSystem, not "
+                             f"{type(system).__name__}")
+    try:
+        x, beta = _streamed_solve(system, float if mode == "float"
+                                  else Fraction, tol)
+    except (ArithmeticError, ValueError, TypeError):  # lift or ZeroPivot
+        _check_entries(system, mode)
+        raise
+    # one sum finds any NaN or inf; finite values may still sum to inf,
+    # and then the check finds nothing
+    if mode == "float" and not math.isfinite(sum(beta) + sum(x)):
+        _check_entries(system, mode)
+    return SolveReport(x=x, det=math.prod(beta[1:], start=beta[0]),
+                       mode=mode, _system=system)
+
+
+def _streamed_solve(system: BackwardPentaSystem, lift, tol):
+    """x and the pivots beta_1..beta_n of A1 X = Y1, from the unlifted
+    system in one pass over its bands.
+
+    Each entry is lifted as it is read. Row i computes alpha_i, beta_i and
+    z_i together, the elimination of the augmented [A1 | Y1]: z_i reuses
+    the multiplier a~_(n-i+1)/beta_(i-2) and gamma_i of the factor step,
+    and gamma is not kept. The back sweep then reads b~ again. Every
+    operation is the one _factor, forward_sweep or back_substitute makes,
+    in the same order, so the values are theirs bit for bit.
+    """
+    n = system.n
+    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
+                          system.b_tilde, system.y)
+
+    def checked(i, s):
+        if not s or (tol is not None and abs(s) < tol):
+            raise ZeroPivot(i)
+        return s
+
+    beta2 = checked(1, lift(d[n - 1]))
+    g = lift(a[n - 2]) / beta2
+    alpha2 = lift(b[n - 2])
+    beta1 = checked(2, lift(d[n - 2]) - alpha2 * g)
+    bti = lift(bt[n - 3])
+    alpha1 = lift(b[n - 3]) - g * bti
+    z2 = lift(y[n - 1])
+    z1 = lift(y[n - 2]) - g * z2
+    alpha, beta, z = [alpha2, alpha1], [beta2, beta1], [z2, z1]
+    # Row i = 3..n-1 reads a~, a, d and y at band index n-i and b and b~ at
+    # n-i-1, each slice running backwards; bti carries b~ at n-i, read by
+    # the row before as its b~ at n-i-1.
+    for ati, ai, di, bi, bti1, yi in zip(
+            map(lift, at[n - 3:0:-1]), map(lift, a[n - 3:0:-1]),
+            map(lift, d[n - 3:0:-1]), map(lift, b[n - 4::-1]),
+            map(lift, bt[n - 4::-1]), map(lift, y[n - 3:0:-1])):
+        mult = ati / beta2  # a~_(n-i+1) / beta_(i-2)
+        g = (ai - mult * alpha2) / beta1
+        al = bi - g * bti1
+        s = di - mult * bti - alpha1 * g
+        if not s or (tol is not None and abs(s) < tol):
+            checked(len(beta) + 1, s)
+        z2, z1 = z1, yi - mult * z2 - g * z1
+        alpha2, alpha1, beta2, beta1, bti = alpha1, al, beta1, s, bti1
+        alpha.append(al)
+        beta.append(s)
+        z.append(z1)
+    mult = lift(at[0]) / beta2
+    g = (lift(a[0]) - mult * alpha2) / beta1
+    beta.append(checked(n, lift(d[0]) - mult * bti - alpha1 * g))
+    z.append(lift(y[0]) - mult * z2 - g * z1)
+
+    x2 = z[n - 1] / beta[n - 1]
+    x1 = (z[n - 2] - alpha[n - 2] * x2) / beta[n - 2]
+    x = [x2, x1]
+    for zi, al, bti, s in zip(z[n - 3::-1], alpha[n - 3::-1],
+                              map(lift, bt), beta[n - 3::-1]):
+        x2, x1 = x1, (zi - al * x1 - bti * x2) / s
+        x.append(x1)
+    x.reverse()
+    return tuple(x), beta
+
+
+def _check_entries(system: BackwardPentaSystem, mode: str) -> None:
+    """Raise what lifting every entry for mode raises, naming the first
+    faulty entry in BANDS order then y: in float mode OverflowError for
+    one beyond the float range, then ValueError for a NaN or inf; in exact
+    mode ValueError for a NaN or inf. Return if the lift succeeds."""
     if mode == "exact":
-        p = _lift_exact(system)
-    else:
-        try:
-            lifted = system.map_scalars(float)
-        except OverflowError:
-            _name_entry(system, OverflowError, _beyond_float_range)
-            raise
-        _require_finite(lifted)
-        p = reverse_rows(lifted)
-    lu = factor(p, tol=tol)
-    x = back_substitute(p, lu, forward_sweep(p, lu))
-    return SolveReport(x=x, det=determinant(lu), mode=mode, _system=system)
+        # Fraction takes every int and Fraction: only other types can fail
+        if not set(map(type, itertools.chain(
+                *(getattr(system, field) for field, _ in _VECTORS)))
+                ) <= {int, Fraction}:
+            _lift_exact(system)
+        return
+    try:
+        lifted = system.map_scalars(float)
+    except OverflowError:
+        _name_entry(system, OverflowError, _beyond_float_range)
+        raise
+    _require_finite(lifted)
 
 
 _VECTORS = (*BANDS, ("y", 0))

@@ -6,17 +6,24 @@ reference below is the indexed form they replaced, kept verbatim: each
 row reads its band entries and earlier results by index. Both must give
 equal factors, replacements, z and x over Fraction and over Q(x), the
 same bits in float, and the same ZeroPivot index, with and without tol.
+
+Float and exact solve run their own single pass over the unlifted bands;
+they in turn must give what factor, forward_sweep, back_substitute and
+determinant give on the lifted system: the same bits in float, equal
+values in exact mode and the same ZeroPivot index.
 """
 
+import math
 from array import array
 from fractions import Fraction
 
 import pytest
 
 from backpenta import (GeneratorConfig, LUFactors, RationalFunction,
-                       ZeroPivot, back_substitute, factor, factor_symbolic,
-                       force_interior_zero_pivot, forward_sweep, generate,
-                       new_system, reverse_rows)
+                       ZeroPivot, back_substitute, determinant, factor,
+                       factor_symbolic, force_interior_zero_pivot,
+                       forward_sweep, generate, new_system, reverse_rows,
+                       solve)
 
 SIZES = range(5, 13)
 SEEDS_PER_SIZE = 6
@@ -118,12 +125,12 @@ def _with_pivot(base, i, value):
                       zeroed.b_tilde, zeroed.y)
 
 
-def _cases():
+def _cases(sizes=SIZES, seeds_per_size=SEEDS_PER_SIZE):
     """(n, target pivot or None, system) for seeded systems of each size,
     unchanged and with beta_1, beta_2, an interior pivot, beta_(n-1) and
     beta_n forced to zero."""
-    for n in SIZES:
-        for k in range(SEEDS_PER_SIZE):
+    for n in sizes:
+        for k in range(seeds_per_size):
             base = generate(GeneratorConfig(seed=900 + 10 * n + k, n=n,
                                             entry_range=1 + k % 9,
                                             known_solution=k % 2 == 0))
@@ -211,3 +218,65 @@ def test_large_float_system_is_bit_identical():
     got = _float_bits(_streamed(p))
     assert not isinstance(got, int)
     assert got == _float_bits(_reference(p))
+
+
+def _values(mode, x, det):
+    if mode == "float":
+        return array("d", x).tobytes(), repr(det)
+    return x, det
+
+
+def _pipeline(system, mode, tol=None):
+    """(x, det) from the public LU functions, or the ZeroPivot index."""
+    p = _float(system) if mode == "float" else _exact(system)
+    try:
+        lu = factor(p, tol=tol)
+    except ZeroPivot as exc:
+        return exc.index
+    return _values(mode, back_substitute(p, lu, forward_sweep(p, lu)),
+                   determinant(lu))
+
+
+def _solved(system, mode, tol=None):
+    try:
+        report = solve(system, mode=mode, tol=tol)
+    except ZeroPivot as exc:
+        return exc.index
+    return _values(mode, report.x, report.det)
+
+
+def test_solve_matches_the_lu_functions():
+    # n = 5..40, each system also with every entry divided by 7 (Fraction
+    # entries that are not integers; a zero pivot stays zero); in float
+    # mode with tol None, 0 and the median |beta|, which trips midway
+    outcomes = set()
+    for n, target, system in _cases(range(5, 41), 3):
+        for s in (system, system.map_scalars(lambda v: Fraction(v) / 7)):
+            got = _solved(s, "exact")
+            assert got == _pipeline(s, "exact"), (n, target)
+            if target is not None:
+                assert got == target
+                outcomes.add(_kind(n, target))
+            tols = [None, 0.0]
+            lu = _run(factor, forward_sweep, back_substitute, _float(s))
+            if not isinstance(lu, int):
+                tols.append(sorted(map(abs, lu[1]))[n // 2])
+            for tol in tols:
+                got = _solved(s, "float", tol)
+                assert got == _pipeline(s, "float", tol), (n, target, tol)
+                if tol and isinstance(got, int):
+                    outcomes.add("tol")
+    assert outcomes == KINDS | {"tol"}
+
+
+def test_float_solve_that_overflows_returns_as_the_lu_functions_do():
+    # finite entries whose float x is beyond the range: inf and NaN
+    # components, no error
+    ex31 = new_system([3, 2, 3], [-1, -2, 1, 4], [1, 2, 2, -2, -1],
+                      [4, 1, 2, 1], [1, 2, 1], [10, 26, 20, 14, 4])
+    bands = [[v * 1e-200 for v in getattr(ex31, f)]
+             for f in ("a_tilde", "a", "d", "b", "b_tilde")]
+    system = new_system(*bands, [v * 1e200 for v in ex31.y])
+    report = solve(system, mode="float")
+    assert not all(map(math.isfinite, report.x))
+    assert _solved(system, "float") == _pipeline(system, "float")
