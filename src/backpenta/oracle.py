@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .solver import _a1_rows, _band_minors, _lift_exact, _unpack
+from .solver import _a1_rows, _band_minors, _lift, _unpack
 from .systems import BANDS, BackwardPentaSystem, new_system
 
 _MASK64 = (1 << 64) - 1
@@ -205,7 +205,7 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     n = system.n
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
-    p = _lift_exact(system)  # all of it: a NaN anywhere is named
+    p = _lift(system, "exact")  # all of it: a NaN anywhere is named
     rows, scales = _a1_rows(p, i)
     bits, _, minors = _band_minors(rows, scales)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant

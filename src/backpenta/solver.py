@@ -8,10 +8,11 @@ carries:
   replaced by a single placeholder symbol and all downstream quantities
   become rational functions of it.
 
-Float and exact solve run the same operations fused into one pass that
-lifts each entry as it reads it (_streamed_solve); factor, forward_sweep
-and back_substitute are the reference that pass is tested against, and
-derive a report's factors and z.
+factor, forward_sweep and back_substitute are the indexed form: each
+row reads its band entries and earlier results by index. They derive a
+report's factors and z, and are the reference for float and exact solve,
+which run the same operations in the same order fused into one pass that
+lifts each entry as it reads it (_streamed_solve).
 
 solve_symbolic computes the same rescue without rational-function
 arithmetic, by fraction-free band elimination over Z[x], and evaluates
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .ratfunc import PoleAtZero, Polynomial, RationalFunction
-from .systems import BANDS, BackwardPentaSystem, PentaSystem, reverse_rows
+from .systems import VECTORS, BackwardPentaSystem, PentaSystem, reverse_rows
 
 
 class ZeroPivot(ArithmeticError):
@@ -85,9 +86,7 @@ class SolveReport:
 
     @functools.cached_property
     def _a1(self) -> PentaSystem:  # lifted again: the solve's lift succeeded
-        if self.mode == "float":
-            return reverse_rows(self._system.map_scalars(float))
-        return _lift_exact(self._system)
+        return _lift(self._system, self.mode)
 
     @functools.cached_property
     def factors(self) -> LUFactors:  # without tol: no pivot fell below it
@@ -117,6 +116,9 @@ def factor_symbolic(system: PentaSystem) -> LUFactors:
 def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
     n = sys.n
     at, a, d, b, bt = sys.a_tilde, sys.a, sys.d, sys.b, sys.b_tilde
+    alpha = [None] * (n - 1)
+    beta = [None] * n
+    gamma = [None] * (n - 1)  # gamma[i-2] = gamma_i
     hits = []
 
     def checked(i, s):
@@ -127,69 +129,48 @@ def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
             return sym
         return s
 
-    beta2 = checked(1, d[n - 1])
-    g = a[n - 2] / beta2
-    alpha2 = b[n - 2]
-    beta1 = checked(2, d[n - 2] - alpha2 * g)
-    alpha1 = b[n - 3] - g * bt[n - 3]
-    alpha, beta, gamma = [alpha2, alpha1], [beta2, beta1], [g]
-    # Row i = 3..n-1 reads a~, a, d and b~ at band index n-i, and b and b~
-    # at n-i-1, each slice running backwards; alpha2, alpha1, beta2, beta1
-    # carry alpha_(i-2), alpha_(i-1), beta_(i-2), beta_(i-1).
-    for ati, ai, di, bti, bi, bti1 in zip(
-            at[n - 3:0:-1], a[n - 3:0:-1], d[n - 3:0:-1], bt[n - 3:0:-1],
-            b[n - 4::-1], bt[n - 4::-1]):
-        mult = ati / beta2  # a~_(n-i+1) / beta_(i-2)
-        g = (ai - mult * alpha2) / beta1
-        al = bi - g * bti1
-        s = di - mult * bti - alpha1 * g
-        # checked's own test, inline: the call is made for a failing pivot
-        if not s or (tol is not None and abs(s) < tol):
-            s = checked(len(beta) + 1, s)
-        alpha2, alpha1, beta2, beta1 = alpha1, al, beta1, s
-        gamma.append(g)
-        alpha.append(al)
-        beta.append(s)
-    mult = at[0] / beta2
-    gamma.append((a[0] - mult * alpha2) / beta1)
-    beta.append(checked(n, d[0] - mult * bt[0] - alpha1 * gamma[-1]))
+    beta[0] = checked(1, d[n - 1])
+    gamma[0] = a[n - 2] / beta[0]
+    alpha[0] = b[n - 2]
+    beta[1] = checked(2, d[n - 2] - alpha[0] * gamma[0])
+    alpha[1] = b[n - 3] - gamma[0] * bt[n - 3]
+    for i in range(3, n):
+        mult = at[n - i] / beta[i - 3]  # a~_(n-i+1) / beta_(i-2)
+        g = (a[n - i] - mult * alpha[i - 3]) / beta[i - 2]
+        gamma[i - 2] = g
+        alpha[i - 1] = b[n - i - 1] - g * bt[n - i - 1]
+        beta[i - 1] = checked(i, d[n - i] - mult * bt[n - i] - alpha[i - 2] * g)
+    mult = at[0] / beta[n - 3]
+    gamma[n - 2] = (a[0] - mult * alpha[n - 3]) / beta[n - 2]
+    beta[n - 1] = checked(n, d[0] - mult * bt[0] - alpha[n - 2] * gamma[n - 2])
 
     return LUFactors(n, tuple(alpha), tuple(beta), tuple(gamma), tuple(hits))
 
 
 def forward_sweep(system: PentaSystem, lu: LUFactors) -> tuple:
-    """Solve L z = Y1 (unit lower-triangular sweep).
-
-    Row i = 3..n reads y1_i, a~_(n-i+1) (a_tilde from its end backwards),
-    beta_(i-2) and gamma_i, and carries z_(i-2), z_(i-1).
-    """
-    y1 = system.y1
-    z2 = y1[0]
-    z1 = y1[1] - lu.gamma[0] * z2
-    z = [z2, z1]
-    for yi, ati, b, g in zip(y1[2:], system.a_tilde[::-1], lu.beta,
-                             lu.gamma[1:]):
-        z2, z1 = z1, yi - (ati / b) * z2 - g * z1
-        z.append(z1)
+    """Solve L z = Y1 (unit lower-triangular sweep)."""
+    n, y1 = system.n, system.y1
+    at, beta, gamma = system.a_tilde, lu.beta, lu.gamma
+    z = [None] * n
+    z[0] = y1[0]
+    z[1] = y1[1] - gamma[0] * z[0]
+    for i in range(3, n + 1):
+        z[i - 1] = (y1[i - 1] - (at[n - i] / beta[i - 3]) * z[i - 3]
+                    - gamma[i - 2] * z[i - 2])
     return tuple(z)
 
 
 def back_substitute(system: PentaSystem, lu: LUFactors, z) -> tuple:
-    """Solve U x = z; the result is already in original order x_1..x_n.
-
-    Row i = n-2..1 reads z_i, alpha_i and beta_i (backwards from i = n-2)
-    and b~_(n-i+1) (b_tilde from its start), and carries x_(i+1), x_(i+2).
-    """
+    """Solve U x = z; the result is already in original order x_1..x_n."""
     n = system.n
-    alpha, beta = lu.alpha, lu.beta
-    x2 = z[n - 1] / beta[n - 1]
-    x1 = (z[n - 2] - alpha[n - 2] * x2) / beta[n - 2]
-    x = [x2, x1]
-    for zi, al, bti, b in zip(z[n - 3::-1], alpha[n - 3::-1],
-                              system.b_tilde, beta[n - 3::-1]):
-        x2, x1 = x1, (zi - al * x1 - bti * x2) / b
-        x.append(x1)
-    return tuple(reversed(x))
+    bt, alpha, beta = system.b_tilde, lu.alpha, lu.beta
+    x = [None] * n
+    x[n - 1] = z[n - 1] / beta[n - 1]
+    x[n - 2] = (z[n - 2] - alpha[n - 2] * x[n - 1]) / beta[n - 2]
+    for i in range(n - 2, 0, -1):
+        x[i - 1] = (z[i - 1] - alpha[i - 1] * x[i]
+                    - bt[n - i - 2] * x[i + 1]) / beta[i - 1]
+    return tuple(x)
 
 
 def determinant(lu: LUFactors):
@@ -313,35 +294,39 @@ def _streamed_solve(system: BackwardPentaSystem, lift, tol):
 
 
 def _check_entries(system: BackwardPentaSystem, mode: str) -> None:
-    """Raise what lifting every entry for mode raises, naming the first
-    faulty entry in BANDS order then y: in float mode OverflowError for
-    one beyond the float range, then ValueError for a NaN or inf; in exact
-    mode ValueError for a NaN or inf. Return if the lift succeeds."""
-    if mode == "exact":
-        # Fraction takes every int and Fraction: only other types can fail
-        if not set(map(type, itertools.chain(
-                *(getattr(system, field) for field, _ in _VECTORS)))
-                ) <= {int, Fraction}:
-            _lift_exact(system)
+    """Raise what _lift(system, mode) raises; return if the lift succeeds."""
+    # Fraction takes every int and Fraction: only other types can fail
+    if mode == "exact" and set(map(type, itertools.chain(
+            *(getattr(system, field) for field, _ in VECTORS)))
+            ) <= {int, Fraction}:
         return
-    try:
-        lifted = system.map_scalars(float)
-    except OverflowError:
-        _name_entry(system, OverflowError, _beyond_float_range)
-        raise
-    _require_finite(lifted)
+    _lift(system, mode)
 
 
-_VECTORS = (*BANDS, ("y", 0))
-
-
-def _require_finite(system: BackwardPentaSystem) -> None:
-    """Raise ValueError naming the first NaN or infinite float entry."""
-    # one sum per vector finds any NaN or inf; finite values may still sum
-    # to inf, and then no entry is named
-    if not all(math.isfinite(sum(getattr(system, field)))
-               for field, _ in _VECTORS):
-        _name_entry(system, ValueError, _not_finite)
+def _lift(system: BackwardPentaSystem, mode: str = "exact") -> PentaSystem:
+    """A1 X = Y1 over float in float mode and over Fraction otherwise, the
+    one lift of every mode. Names the first faulty entry in BANDS order
+    then y: in float mode OverflowError for one beyond the float range,
+    then ValueError for a NaN or inf; otherwise ValueError for a NaN or
+    inf."""
+    if mode == "float":
+        try:
+            lifted = system.map_scalars(float)
+        except OverflowError:
+            _name_entry(system, OverflowError, _beyond_float_range)
+            raise
+        # one sum per vector finds any NaN or inf; finite values may still
+        # sum to inf, and then no entry is named
+        if not all(math.isfinite(sum(getattr(lifted, field)))
+                   for field, _ in VECTORS):
+            _name_entry(lifted, ValueError, _not_finite)
+    else:
+        try:
+            lifted = system.map_scalars(Fraction)
+        except (ValueError, OverflowError):  # Fraction of a float NaN or inf
+            _name_entry(system, ValueError, _not_finite)
+            raise
+    return reverse_rows(lifted)
 
 
 def _not_finite(v) -> Optional[str]:
@@ -360,7 +345,7 @@ def _beyond_float_range(v) -> Optional[str]:
 def _name_entry(system: BackwardPentaSystem, error, fault) -> None:
     """Raise error naming the first entry v, in BANDS order then y, for
     which fault(v) gives a text; return if there is none."""
-    for field, k in _VECTORS:
+    for field, k in VECTORS:
         for j, v in enumerate(getattr(system, field)):
             text = fault(v)
             if text:
@@ -384,7 +369,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     and x is their eval_at_zero. Raises ValueError, naming the entry, for
     one that is NaN or infinite as a float.
     """
-    rows, scales = _a1_rows(_lift_exact(system))
+    rows, scales = _a1_rows(_lift(system, "exact"))
     bits, replaced, det, numers = _band_bareiss(rows, scales)
     det = _unpack(det, bits)
     numers = [_unpack(v, bits) for v in numers]
@@ -401,16 +386,6 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     return SolveReport(x=x, det=Fraction(det[0], math.prod(scales)),
                        mode="symbolic", pivot_replacements=replaced,
                        x_presub=x_presub, _system=system)
-
-
-def _lift_exact(system: BackwardPentaSystem) -> PentaSystem:
-    """A1 X = Y1 over Fraction, the one lift of exact and symbolic mode."""
-    try:
-        lifted = system.map_scalars(Fraction)
-    except (ValueError, OverflowError):  # Fraction of a float NaN or inf
-        _name_entry(system, ValueError, _not_finite)
-        raise
-    return reverse_rows(lifted)
 
 
 def _a1_rows(system: PentaSystem, m: Optional[int] = None):

@@ -26,13 +26,14 @@ class LengthMismatch(ValueError):
 # n - |k| entries; entry j sits in 0-based row r = j + max(k, 0) and
 # column n - 1 - r + k.
 BANDS = (("a_tilde", -2), ("a", -1), ("d", 0), ("b", 1), ("b_tilde", 2))
-_FIELDS = (*(field for field, _ in BANDS), "y")
+VECTORS = (*BANDS, ("y", 0))  # the right-hand side has the length of d
+_FIELDS = tuple(field for field, _ in VECTORS)
 
 
 def _check_lengths(n, *vectors):
     if n < 5:
         raise SizeTooSmall(f"system size must be >= 5, got n={n}")
-    for (name, k), vec in zip((*BANDS, ("y", 0)), vectors):
+    for (name, k), vec in zip(VECTORS, vectors):
         if len(vec) != n - abs(k):
             raise LengthMismatch(f"vector {name}: expected length "
                                  f"{n - abs(k)} for n={n}, got {len(vec)}")

@@ -13,7 +13,7 @@ import pytest
 from backpenta import (GeneratorConfig, SplitMix64, dense_det, densify,
                        force_interior_zero_pivot, generate, reverse_rows)
 from backpenta.solver import (_a1_rows, _band_bareiss, _band_minors,
-                              _lift_exact, _slot_bits, _unpack)
+                              _lift as _lift_exact, _slot_bits, _unpack)
 
 ZERO_SETS = ((), ("d_n",), ("d_1",), ("d_n", "d_3"), ("a_1", "b_2"))
 

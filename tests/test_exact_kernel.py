@@ -1,11 +1,12 @@
 """Exact solve against the band Bareiss kernel, and the lazy factors.
 
-Exact solve runs the Fraction recurrences (factor, forward_sweep,
-back_substitute, determinant); solve_symbolic runs _band_bareiss. Without
-a zero pivot the kernel must give the same x and det, and it must replace
-first the pivot at which the recurrences raise ZeroPivot. Every report,
-in every mode, derives its factors and z on first read from the solved
-system, and they must equal the recurrences run on that system.
+Exact solve runs the Fraction recurrences in one streamed pass
+(_streamed_solve); solve_symbolic runs _band_bareiss. Without a zero
+pivot the kernel must give the same x and det, and it must replace first
+the pivot at which the pass raises ZeroPivot. Every report, in every
+mode, derives its factors and z on first read from the solved system,
+and they must equal factor (or factor_symbolic) and forward_sweep run on
+that system.
 """
 
 import math

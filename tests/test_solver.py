@@ -13,6 +13,7 @@ from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
                        forward_sweep, generate, new_system, reverse_rows,
                        solve, solve_symbolic)
 from backpenta.instrument import CountingScalar, OpCounter
+from backpenta.solver import _streamed_solve
 from backpenta.systems import BANDS
 
 F = Fraction
@@ -337,6 +338,13 @@ class TestProperties:
             assert counts[3] == 20 * n - 31
             assert [b - a for a, b in zip(counts, counts[1:])] == [
                 10 * n - 17, 5 * n - 8, 5 * n - 6, n - 1]
+            # solve's fused pass makes the factor's and sweeps' operations
+            # but reuses the factor's multiplier a~/beta in the forward
+            # sweep: n - 2 divisions fewer (solve takes det itself)
+            counter = OpCounter()
+            _streamed_solve(s, lambda v: CountingScalar(float(v), counter),
+                            None)
+            assert counter.count == 19 * n - 29
 
     def test_counting_scalar_defines_only_the_recurrence_operators(self):
         counter = OpCounter()
