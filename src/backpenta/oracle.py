@@ -210,7 +210,8 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     bits, _, minors = _band_minors(rows, scales)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
     # exactly when D_i is a constant multiple of D_(i-1)
-    di, dp = _unpack(minors[i - 1], bits), _unpack(minors[i - 2], bits)
+    di = _unpack(minors[i - 1][0], bits)
+    dp = _unpack(minors[i - 2][0], bits)
     if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
                                  for u, v in zip(di, dp)):
         return None

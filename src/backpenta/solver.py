@@ -476,33 +476,45 @@ def _slot_bits(rows: list, scales: list) -> int:
 
 
 def _band_minors(rows: list, scales: list):
-    """Leading minors D_1..D_m of the scaled A1 + xE, with no division.
+    """Bareiss values of the scaled [A1 + xE | Y1], with no division.
 
-    rows and scales come from _a1_rows (only the five band entries of a
-    row are read); x, E, the packing and bits are those of _band_bareiss,
-    which gives the same D_k and replaces the same pivots. A six-state
-    transfer recurrence (the banded case of Molinari, Linear Algebra Appl.
-    429 (2008); Sogabe, Appl. Math. Comput. 196 (2008)): after rows
-    0..k-1, f_ab is det(rows 0..k-1; columns 0..k+1 but k+a and k+b) for
-    -2 <= a < b <= 1 (fm2m1 is f_(-2)(-1)). A Laplace expansion along row
-    k gives the next six in 12 products, and D_(k+1) is the new f_01.
-    Returns bits, the 1-based replaced pivots and the packed D_1..D_m.
+    rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
+    added to its diagonal entry, which in the unscaled system is the
+    placeholder x itself. Polynomials in Z[x] are packed into ints by
+    Kronecker substitution: p is stored as p(X) for X = 2**bits, so that
+    ring operations and exact division in Z[x] are plain int operations.
+    Every value is a minor of the scaled augmented matrix, and bits (from
+    _slot_bits) bounds every coefficient of such a minor; so the packing
+    is injective and _unpack recovers it.
+
+    A ten-state transfer recurrence (the banded case of Molinari, Linear
+    Algebra Appl. 429 (2008)) with the y column added: after rows 0..k-1,
+    the state s_PQ is det(rows 0..k-1; columns 0..k-3, P, Q) for P < Q in
+    {k-2, k-1, k, k+1, y}, named m2, m1, z, p and y. Two virtual identity
+    rows in front start it at m2m1 = 1. A Laplace expansion along row k
+    gives the next ten states in 22 products of a state by a band entry.
+    The new m2m1, m2z, m2p and m2y are then row k's Bareiss values
+    (D_k, u1, u2, c_k): the minors of rows 0..k on columns 0..k-1 and one
+    more column, k, k+1, k+2 or y. D_k is the leading (k+1)-minor.
+    Returns bits, the 1-based replaced pivots and each row's packed
+    (D_k, u1, u2, c_k).
     """
     bits = _slot_bits(rows, scales)
-    fm2m1 = fm20 = fm21 = fm10 = fm11 = 0
-    f01 = 1
+    m2m1, (m2z, m2p, m2y, m1z, m1p, m1y, zp, zy, py) = 1, (0,) * 9
     replaced, minors = [], []
-    for k, (row, scale) in enumerate(zip(rows, scales)):
-        r0, r1, r2, r3, r4 = row[:5]
-        d = r0 * fm21 - r1 * fm11 + r2 * f01
+    for k, ((r0, r1, r2, r3, r4, ry), scale) in enumerate(zip(rows, scales)):
+        d = r0 * m1z - r1 * m2z + r2 * m2m1
         if not d:  # redo the step with scale * x added to the diagonal
             replaced.append(k + 1)
             r2 += scale << bits
-            d = (scale << bits) * f01
-        fm2m1, fm20, fm21, fm10, fm11, f01 = (
-            r4 * fm10, r4 * fm11, r0 * fm2m1 - r2 * fm10 + r3 * fm11,
-            r4 * f01, r0 * fm20 - r1 * fm10 + r3 * f01, d)
-        minors.append(d)
+            d = (scale << bits) * m2m1
+        m2m1, m2z, m2p, m2y, m1z, m1p, m1y, zp, zy, py = (
+            d, r0 * m1p - r1 * m2p + r3 * m2m1, r4 * m2m1,
+            r0 * m1y - r1 * m2y + ry * m2m1,
+            r0 * zp - r2 * m2p + r3 * m2z, r4 * m2z,
+            r0 * zy - r2 * m2y + ry * m2z, r4 * m2p,
+            r0 * py - r3 * m2y + ry * m2p, -r4 * m2y)
+        minors.append((m2m1, m2z, m2p, m2y))
     return bits, tuple(replaced), minors
 
 

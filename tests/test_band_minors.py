@@ -60,29 +60,41 @@ def test_leading_minors_match_dense_det():
             if i + 1 in replaced:
                 bumped[i][i] += scale << bits
         for k in range(1, n + 1):
-            coeffs = _unpack(minors[k - 1], bits)
+            coeffs = _unpack(minors[k - 1][0], bits)
             at_zero = coeffs[0] if coeffs else 0
             want = dense_det(_leading(a1, k)) * math.prod(scales[:k])
             assert at_zero == want, (s, k)
-            assert minors[k - 1] == dense_det(_leading(bumped, k)), (s, k)
+            assert minors[k - 1][0] == dense_det(_leading(bumped, k)), (s, k)
         singular += dense_det(a1) == 0
     assert singular >= 10
 
 
 @pytest.mark.parametrize("zeros", ZERO_SETS[1:], ids="+".join)
 def test_matches_band_bareiss(zeros):
-    for seed in range(60):
-        n = 5 + seed % 12
+    # every row's (D_k, u1, u2, c_k), the det and the Cramer numerators
+    # N_k from the back substitution of solve_symbolic
+    for seed in range(150):
+        n = 5 + seed % 26
         s = generate(GeneratorConfig(seed=seed, n=n,
                                      entry_range=(1, 2, 9)[seed % 3],
-                                     force_zero_pivots=zeros))
+                                     force_zero_pivots=zeros,
+                                     known_solution=bool(seed % 3 % 2)))
+        if seed % 5 == 4:
+            s = force_interior_zero_pivot(s, 2 + seed % (n - 1)) or s
         if seed % 2:
             s = _with_denominators(s, seed)
         rows, scales = _a1_rows(_lift_exact(s))
-        got = _band_minors(rows, scales)
+        bits, replaced, minors = _band_minors(rows, scales)
         rows = copy.deepcopy(rows)  # _band_bareiss reduces rows in place
-        bits, replaced, _, _ = _band_bareiss(rows, scales)
-        assert got == (bits, replaced, [row[2] for row in rows])
+        want = _band_bareiss(rows, scales)
+        det = minors[-1][0]
+        numers = [0] * (n + 2)
+        for k in range(n - 1, -1, -1):
+            dk, u1, u2, c = minors[k]
+            numers[k] = (c * det - u1 * numers[k + 1]
+                         - u2 * numers[k + 2]) // dk
+        assert (bits, replaced, det, numers[:n]) == want, (zeros, seed)
+        assert minors == [tuple(row[2:]) for row in rows], (zeros, seed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 256, 2000])
