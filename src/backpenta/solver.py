@@ -15,8 +15,9 @@ which run the same operations in the same order fused into one pass that
 lifts each entry as it reads it (_streamed_solve).
 
 solve_symbolic computes the same rescue without rational-function
-arithmetic, by fraction-free band elimination over Z[x], and evaluates
-the finished solution and determinant at placeholder = 0.
+arithmetic: _band_minors, a division-free transfer recurrence over Z[x],
+gives the Bareiss rows of [A1 + xE | Y1], and the finished solution and
+determinant are evaluated at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -362,25 +363,32 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     (IdenticallySingular when beta_n itself was replaced).
 
     The values equal those of factor_symbolic, forward_sweep and
-    back_substitute over Q(x), but come from _band_bareiss: replacing
+    back_substitute over Q(x), but come from _band_minors: replacing
     beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
-    of A1 + xE, integer polynomials computed without a gcd. Canonical
-    rational functions are built only for x_presub, once per component,
-    and x is their eval_at_zero. Raises ValueError, naming the entry, for
-    one that is NaN or infinite as a float.
+    of [A1 + xE | Y1], integer polynomials computed with no division.
+    Bareiss's back substitution then gives the Cramer numerators
+    N_k = det x_k with one exact division per row. Canonical rational
+    functions are built only for x_presub, once per component, and x is
+    their eval_at_zero. Raises ValueError, naming the entry, for one that
+    is NaN or infinite as a float.
     """
+    n = system.n
     rows, scales = _a1_rows(_lift(system, "exact"))
-    bits, replaced, det, numers = _band_bareiss(rows, scales)
+    bits, replaced, minors = _band_minors(rows, scales)
+    det = minors[-1][0]
+    numers = [0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        dk, u1, u2, c = minors[k]
+        numers[k] = (c * det - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
     det = _unpack(det, bits)
-    numers = [_unpack(v, bits) for v in numers]
     det_poly = Polynomial(det)
-    x_presub = tuple(RationalFunction(Polynomial(num), det_poly)
-                     for num in numers)
+    x_presub = tuple(RationalFunction(Polynomial(_unpack(v, bits)), det_poly)
+                     for v in numers[:n])
     try:
         x = tuple(f.eval_at_zero() for f in x_presub)
     except PoleAtZero:
-        if system.n in replaced:
-            raise IdenticallySingular(f"beta[{system.n}] is identically "
+        if n in replaced:
+            raise IdenticallySingular(f"beta[{n}] is identically "
                                       "zero; no finite solution") from None
         raise
     return SolveReport(x=x, det=Fraction(det[0], math.prod(scales)),
@@ -405,62 +413,6 @@ def _a1_rows(system: PentaSystem, m: Optional[int] = None):
         rows.append([v.numerator * (scale // v.denominator) for v in row])
         scales.append(scale)
     return rows, scales
-
-
-def _band_bareiss(rows: list, scales: list):
-    """Fraction-free band elimination of [A1 + xE | Y1] without pivoting.
-
-    rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
-    added, which in the unscaled system is the placeholder x itself.
-    Polynomials in Z[x] are packed into ints by Kronecker substitution:
-    p is stored as p(X) for X = 2**bits, so that ring operations and exact
-    division in Z[x] are plain int operations. Every stored value is a
-    minor of the scaled augmented matrix, and bits exceeds the bit length
-    of the product of its absolute row sums (each counting the x
-    coefficient), which bounds every coefficient of such a minor; so the
-    packing is injective and _unpack recovers it.
-
-    Rows are reduced in place to the Bareiss upper-triangular form: row k
-    ends as [., ., D_k, u, u, c_k] where D_k is the leading (k+1)-minor.
-    A row is untouched until it enters the band at step k, two steps
-    before its pivot. Bareiss would by then have scaled it by D_(k-1);
-    that factor cancels the step's division by D_(k-1), so the entering
-    row is updated from its original entries with no division. Returns
-    bits, the 1-based replaced pivots, the determinant D_(n-1) and the
-    Cramer numerators N_k = D_(n-1) x_k, all packed.
-    """
-    n = len(rows)
-    bits = _slot_bits(rows, scales)
-    replaced = []
-    prev = 1
-    for k in range(n):
-        piv = rows[k]
-        p = piv[2]
-        if not p:
-            replaced.append(k + 1)
-            p = piv[2] = (scales[k] << bits) * prev
-        u1, u2, c = piv[3], piv[4], piv[5]
-        if k + 1 < n:
-            r = rows[k + 1]
-            h = r[1]
-            r[2] = (p * r[2] - h * u1) // prev
-            r[3] = (p * r[3] - h * u2) // prev
-            r[4] = p * r[4] // prev
-            r[5] = (p * r[5] - h * c) // prev
-        if k + 2 < n:  # row entering the band: still its original entries
-            r = rows[k + 2]
-            h = r[0]
-            r[1] = p * r[1] - h * u1
-            r[2] = p * r[2] - h * u2
-            r[3] = p * r[3]
-            r[4] = p * r[4]
-            r[5] = p * r[5] - h * c
-        prev = p
-    numers = [0] * (n + 2)
-    for k in range(n - 1, -1, -1):
-        _, _, dk, u1, u2, c = rows[k]
-        numers[k] = (c * prev - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
-    return bits, tuple(replaced), prev, numers[:n]
 
 
 def _slot_bits(rows: list, scales: list) -> int:

@@ -1,10 +1,10 @@
-"""Gate for solver._band_minors, the division-free leading minors of the
-scaled A1 + xE: every D_k is checked against the dense oracle, and the
-packed D_k, slot width and replaced pivots against _band_bareiss, which
-computes the same minors by fraction-free elimination.
+"""Gate for solver._band_minors, the division-free Z[x] kernel: every
+row's packed Bareiss values (D_k, u1, u2, c_k) of the scaled
+[A1 + xE | Y1] are checked against the dense oracle, and so are the
+leading minors of A1 itself, and the pairwise product of _slot_bits
+against a sequential one.
 """
 
-import copy
 import math
 from fractions import Fraction
 
@@ -12,8 +12,8 @@ import pytest
 
 from backpenta import (GeneratorConfig, SplitMix64, dense_det, densify,
                        force_interior_zero_pivot, generate, reverse_rows)
-from backpenta.solver import (_a1_rows, _band_bareiss, _band_minors,
-                              _lift as _lift_exact, _slot_bits, _unpack)
+from backpenta.solver import (_a1_rows, _band_minors, _lift as _lift_exact,
+                              _slot_bits, _unpack)
 
 ZERO_SETS = ((), ("d_n",), ("d_1",), ("d_n", "d_3"), ("a_1", "b_2"))
 
@@ -43,6 +43,14 @@ def _leading(matrix, k):
     return [row[:k] for row in matrix[:k]]
 
 
+def _row_minor(matrix, y, k, col):
+    # rows 0..k, columns 0..k-1 and then column col, or y for col None
+    if col is not None and col >= len(matrix):
+        return 0
+    return dense_det([row[:k] + [yi if col is None else row[col]]
+                      for row, yi in zip(matrix[:k + 1], y)])
+
+
 def test_leading_minors_match_dense_det():
     singular = 0
     for s in _systems(120):
@@ -51,50 +59,25 @@ def test_leading_minors_match_dense_det():
         bits, replaced, minors = _band_minors(rows, scales)
         assert len(minors) == n
         a1 = densify(reverse_rows(s))
-        # the scaled integer A1 with scale * 2**bits added on each replaced
-        # diagonal: its leading minors are the packed D_k themselves
+        # the scaled integer [A1 | Y1] with scale * 2**bits added on each
+        # replaced diagonal: its minors are the packed values themselves
         bumped = [[0] * n for _ in range(n)]
         for i, (row, scale) in enumerate(zip(rows, scales)):
             for j in range(max(0, i - 2), min(n, i + 3)):
                 bumped[i][j] = row[j - i + 2]
             if i + 1 in replaced:
                 bumped[i][i] += scale << bits
-        for k in range(1, n + 1):
-            coeffs = _unpack(minors[k - 1][0], bits)
+        y = [row[5] for row in rows]
+        for k in range(n):
+            coeffs = _unpack(minors[k][0], bits)
             at_zero = coeffs[0] if coeffs else 0
-            want = dense_det(_leading(a1, k)) * math.prod(scales[:k])
+            want = dense_det(_leading(a1, k + 1)) * math.prod(scales[:k + 1])
             assert at_zero == want, (s, k)
-            assert minors[k - 1][0] == dense_det(_leading(bumped, k)), (s, k)
+            row_minors = tuple(_row_minor(bumped, y, k, col)
+                               for col in (k, k + 1, k + 2, None))
+            assert minors[k] == row_minors, (s, k)
         singular += dense_det(a1) == 0
     assert singular >= 10
-
-
-@pytest.mark.parametrize("zeros", ZERO_SETS[1:], ids="+".join)
-def test_matches_band_bareiss(zeros):
-    # every row's (D_k, u1, u2, c_k), the det and the Cramer numerators
-    # N_k from the back substitution of solve_symbolic
-    for seed in range(150):
-        n = 5 + seed % 26
-        s = generate(GeneratorConfig(seed=seed, n=n,
-                                     entry_range=(1, 2, 9)[seed % 3],
-                                     force_zero_pivots=zeros,
-                                     known_solution=bool(seed % 3 % 2)))
-        if seed % 5 == 4:
-            s = force_interior_zero_pivot(s, 2 + seed % (n - 1)) or s
-        if seed % 2:
-            s = _with_denominators(s, seed)
-        rows, scales = _a1_rows(_lift_exact(s))
-        bits, replaced, minors = _band_minors(rows, scales)
-        rows = copy.deepcopy(rows)  # _band_bareiss reduces rows in place
-        want = _band_bareiss(rows, scales)
-        det = minors[-1][0]
-        numers = [0] * (n + 2)
-        for k in range(n - 1, -1, -1):
-            dk, u1, u2, c = minors[k]
-            numers[k] = (c * det - u1 * numers[k + 1]
-                         - u2 * numers[k + 2]) // dk
-        assert (bits, replaced, det, numers[:n]) == want, (zeros, seed)
-        assert minors == [tuple(row[2:]) for row in rows], (zeros, seed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 256, 2000])

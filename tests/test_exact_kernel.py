@@ -1,12 +1,12 @@
-"""Exact solve against the band Bareiss kernel, and the lazy factors.
+"""Exact solve against the division-free Z[x] kernel, and the lazy factors.
 
 Exact solve runs the Fraction recurrences in one streamed pass
-(_streamed_solve); solve_symbolic runs _band_bareiss. Without a zero
-pivot the kernel must give the same x and det, and it must replace first
-the pivot at which the pass raises ZeroPivot. Every report, in every
-mode, derives its factors and z on first read from the solved system,
-and they must equal factor (or factor_symbolic) and forward_sweep run on
-that system.
+(_streamed_solve); solve_symbolic runs _band_minors. Without a zero
+pivot the kernel's Bareiss rows must give the same x and det, and it
+must replace first the pivot at which the pass raises ZeroPivot. Every
+report, in every mode, derives its factors and z on first read from the
+solved system, and they must equal factor (or factor_symbolic) and
+forward_sweep run on that system.
 """
 
 import math
@@ -18,7 +18,7 @@ import pytest
 from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
                        force_interior_zero_pivot, forward_sweep, generate,
                        reverse_rows, solve, solve_symbolic)
-from backpenta.solver import _a1_rows, _band_bareiss
+from backpenta.solver import _a1_rows, _band_minors
 
 SIZES = range(5, 45)
 ZEROS = ((), ("d_n",), ("d_3",))  # entries zeroed by generate
@@ -38,14 +38,18 @@ def _exact(system):
 
 
 def _kernel(system):
-    """(x, det) from _band_bareiss, or the first replaced pivot."""
+    """(x, det) from _band_minors, or the first replaced pivot."""
     rows, scales = _a1_rows(reverse_rows(system.map_scalars(Fraction)))
-    _, replaced, det, numers = _band_bareiss(rows, scales)
+    _, replaced, minors = _band_minors(rows, scales)
     if replaced:
         return replaced[0]
-    # nothing replaced: every packed value is a plain int
-    return (tuple(Fraction(v, det) for v in numers),
-            Fraction(det, math.prod(scales)))
+    # nothing replaced: every packed value is a plain int, and row k of
+    # the Bareiss form reads D_k x_k + u1 x_(k+1) + u2 x_(k+2) = c_k
+    x = [0] * (len(rows) + 2)
+    for k in range(len(rows) - 1, -1, -1):
+        dk, u1, u2, c = minors[k]
+        x[k] = (c - u1 * x[k + 1] - u2 * x[k + 2]) / Fraction(dk)
+    return tuple(x[:-2]), Fraction(minors[-1][0], math.prod(scales))
 
 
 def _systems():
