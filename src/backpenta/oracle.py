@@ -11,8 +11,9 @@ same system on every platform. Entries in [-m, m] are drawn as
 ranges used here and keeps the mapping trivially portable).
 
 force_interior_zero_pivot builds systems whose pivot beta_i is exactly
-zero, from the leading minors of solver._band_minors: integer arithmetic
-over the first i rows, with no rational-function arithmetic.
+zero, from the leading minors D_k that solver._band_minors, the
+division-free Z[x] kernel of solve_symbolic, gives for the first i rows:
+integer arithmetic, with no rational-function arithmetic.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
 
     beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
     xE (see solve_symbolic), and reads only rows 1..i of A1; the minors
-    come from the division-free recurrence of solver._band_minors.
+    are the D_k of solver._band_minors run on those rows, which also
+    carries the y column that this function does not read.
     """
     n = system.n
     if not 2 <= i <= n:

@@ -440,19 +440,20 @@ def _band_minors(rows: list, scales: list):
     is injective and _unpack recovers it.
 
     A ten-state transfer recurrence (the banded case of Molinari, Linear
-    Algebra Appl. 429 (2008)) with the y column added: after rows 0..k-1,
-    the state s_PQ is det(rows 0..k-1; columns 0..k-3, P, Q) for P < Q in
-    {k-2, k-1, k, k+1, y}, named m2, m1, z, p and y. Two virtual identity
-    rows in front start it at m2m1 = 1. A Laplace expansion along row k
-    gives the next ten states in 22 products of a state by a band entry.
-    The new m2m1, m2z, m2p and m2y are then row k's Bareiss values
-    (D_k, u1, u2, c_k): the minors of rows 0..k on columns 0..k-1 and one
-    more column, k, k+1, k+2 or y. D_k is the leading (k+1)-minor.
-    Returns bits, the 1-based replaced pivots and each row's packed
-    (D_k, u1, u2, c_k).
+    Algebra Appl. 429 (2008); Sogabe, Appl. Math. Comput. 196 (2008)),
+    with the y column added: after rows 0..k-1, the state s_PQ is
+    det(rows 0..k-1; columns 0..k-3, P, Q) for P < Q in {k-2, k-1, k, k+1,
+    y}, named m2, m1, z, p and y. Two virtual identity rows in front start
+    it at m2m1 = 1. A Laplace expansion along row k gives the next ten
+    states in 22 products of a state by a band entry. The new m2m1, m2z,
+    m2p and m2y are row k's Bareiss values (D_k, u1, u2, c_k): the minors
+    of rows 0..k on columns 0..k-1 and one more column, k, k+1, k+2 or y.
+    D_k is the leading (k+1)-minor. Returns bits, the 1-based replaced
+    pivots and each row's packed (D_k, u1, u2, c_k).
     """
     bits = _slot_bits(rows, scales)
-    m2m1, (m2z, m2p, m2y, m1z, m1p, m1y, zp, zy, py) = 1, (0,) * 9
+    m2z = m2p = m2y = m1z = m1p = m1y = zp = zy = py = 0
+    m2m1 = 1
     replaced, minors = [], []
     for k, ((r0, r1, r2, r3, r4, ry), scale) in enumerate(zip(rows, scales)):
         d = r0 * m1z - r1 * m2z + r2 * m2m1

@@ -1,4 +1,4 @@
-"""Differential fuzz test of solve_symbolic's band Bareiss kernel.
+"""Differential fuzz test of solve_symbolic's division-free Z[x] kernel.
 
 solve_symbolic must agree exactly with the generic recurrences over Q(x)
 (factor_symbolic -> forward_sweep -> back_substitute, then eval_at_zero
