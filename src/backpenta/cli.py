@@ -23,7 +23,9 @@ Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
 (unreadable or malformed file, a float-mode literal beyond the float range,
 bad gen arguments, unwritable --out) or stdout closed by its reader
 (`| head`; nothing on stderr); 2 zero pivot (float/exact); 3 "singular: ..."
-or check's SINGULAR; 4 check: the banded and dense solutions differ.
+or check's SINGULAR; 4 check: the banded and dense solutions differ. A
+consistent singular system exits 0 from solve --mode symbolic, printing its
+x -> 0 limit (det(A1) = 0 under --det), and 3 from check.
 
 solve writes x (and the det line) in one write, once every value is
 formatted.

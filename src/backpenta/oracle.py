@@ -12,17 +12,18 @@ ranges used here and keeps the mapping trivially portable).
 
 force_interior_zero_pivot builds systems whose pivot beta_i is exactly
 zero, from the leading minors D_k that solver._band_minors, the
-division-free Z[x] kernel of solve_symbolic, gives for the first i rows:
+division-free Z[x] kernel of every exact solve, gives for the first i rows:
 integer arithmetic, with no rational-function arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .solver import _a1_rows, _band_minors, _lift, _unpack
+from .solver import _a1_rows, _band_minors, _lift, _slot_bits, _unpack
 from .systems import BANDS, BackwardPentaSystem, new_system
 
 _MASK64 = (1 << 64) - 1
@@ -200,16 +201,17 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     one that is NaN or infinite as a float.
 
     beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
-    xE (see solve_symbolic), and reads only rows 1..i of A1; the minors
-    are the D_k of solver._band_minors run on those rows, which also
-    carries the y column that this function does not read.
+    xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of
+    solver._band_minors on the first i rows that _a1_rows yields, so only
+    those i rows are built. The y column they carry goes unread.
     """
     n = system.n
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
     p = _lift(system, "exact")  # all of it: a NaN anywhere is named
-    rows, scales = _a1_rows(p, i)
-    bits, _, minors = _band_minors(rows, scales)
+    rows = list(itertools.islice(_a1_rows(p), i))
+    bits = _slot_bits(rows)
+    _, minors, scales = _band_minors(rows, bits)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
     # exactly when D_i is a constant multiple of D_(i-1)
     di = _unpack(minors[i - 1][0], bits)

@@ -10,14 +10,14 @@ carries:
 
 factor, forward_sweep and back_substitute are the indexed form: each
 row reads its band entries and earlier results by index. They derive a
-report's factors and z, and are the reference for float and exact solve,
-which run the same operations in the same order fused into one pass that
-lifts each entry as it reads it (_streamed_solve).
+report's factors and z, and are the reference for float solve, which runs
+the same operations in the same order fused into one pass that lifts each
+entry as it reads it (_streamed_solve).
 
-solve_symbolic computes the same rescue without rational-function
-arithmetic: _band_minors, a division-free transfer recurrence over Z[x],
-gives the Bareiss rows of [A1 + xE | Y1], and the finished solution and
-determinant are evaluated at placeholder = 0.
+Exact answers come from one division-free kernel, _band_minors: a transfer
+recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1]. Exact solve
+stops at its first zero pivot; solve_symbolic replaces each by x, and
+evaluates the finished solution and determinant at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -26,7 +26,6 @@ conventional subscripts (beta_1 .. beta_n).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -193,7 +192,7 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
           tol: Optional[float] = None) -> SolveReport:
     """Solve AX=Y by LU factorization of the row-reversed system.
 
-    mode "exact" lifts all scalars to Fraction; mode "float" to float.
+    mode "exact" gives Fraction values; mode "float" float values.
     Raises ZeroPivot(i) when a pivot is zero (with tol, in float mode,
     also when |beta_i| < tol); the symbolic solver handles those cases.
     Raises ValueError for tol in exact mode, for a tol that is NaN or
@@ -201,11 +200,11 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     mode OverflowError, naming the entry, for one beyond the float range.
     An entry's error comes before any ZeroPivot, whichever is met first.
 
-    The values are those of factor, forward_sweep, back_substitute and
-    determinant on the lifted A1, computed by _streamed_solve in one pass
-    that lifts each entry as it reads it. The entries are checked only
-    when that pass raises or, in float mode, gives a pivot or a component
-    of x that is not finite.
+    Float mode fuses factor, forward_sweep, back_substitute and determinant
+    into one pass, _streamed_solve, lifting each entry as it reads it; it
+    checks the entries only when the pass raises or gives a non-finite pivot
+    or x_k. Exact mode runs _band_minors with no pivot replaced: ZeroPivot(k)
+    at the first zero minor D_k = D_(k-1) beta_k, else x_k = N_k / D_n.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
@@ -213,27 +212,29 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
         raise ValueError("tol applies to float mode only")
     if tol is not None and not tol >= 0:  # |beta| < nan is never true
         raise ValueError(f"tol must be >= 0, got {tol!r}")
-    if not isinstance(system, BackwardPentaSystem):
-        # a PentaSystem (A1) is already reversed and has no map_scalars
-        raise AttributeError(f"solve takes a BackwardPentaSystem, not "
-                             f"{type(system).__name__}")
+    if mode == "exact":
+        _, minors, scales = _band_minors(_a1_rows(_exact_a1(system)))
+        det = minors[-1][0]
+        return SolveReport(
+            tuple(Fraction(v, det) for v in _numerators(minors)),
+            Fraction(det, math.prod(scales)), mode, _system=system)
+    _require_backward(system)
     try:
-        x, beta = _streamed_solve(system, float if mode == "float"
-                                  else Fraction, tol)
+        x, beta = _streamed_solve(system, float, tol)
     except (ArithmeticError, ValueError, TypeError):  # lift or ZeroPivot
-        _check_entries(system, mode)
+        _lift(system, "float")
         raise
     # one sum finds any NaN or inf; finite values may still sum to inf,
-    # and then the check finds nothing
-    if mode == "float" and not math.isfinite(sum(beta) + sum(x)):
-        _check_entries(system, mode)
+    # and then the lift names nothing
+    if not math.isfinite(sum(beta) + sum(x)):
+        _lift(system, "float")
     return SolveReport(x=x, det=math.prod(beta[1:], start=beta[0]),
                        mode=mode, _system=system)
 
 
 def _streamed_solve(system: BackwardPentaSystem, lift, tol):
     """x and the pivots beta_1..beta_n of A1 X = Y1, from the unlifted
-    system in one pass over its bands.
+    system in one pass over its bands: float solve's pass.
 
     Each entry is lifted as it is read. Row i computes alpha_i, beta_i and
     z_i together, the elimination of the augmented [A1 | Y1]: z_i reuses
@@ -294,14 +295,21 @@ def _streamed_solve(system: BackwardPentaSystem, lift, tol):
     return tuple(x), beta
 
 
-def _check_entries(system: BackwardPentaSystem, mode: str) -> None:
-    """Raise what _lift(system, mode) raises; return if the lift succeeds."""
-    # Fraction takes every int and Fraction: only other types can fail
-    if mode == "exact" and set(map(type, itertools.chain(
-            *(getattr(system, field) for field, _ in VECTORS)))
-            ) <= {int, Fraction}:
-        return
-    _lift(system, mode)
+def _require_backward(system) -> None:
+    """Reject a reversed system (A1): it would be solved as if it were A."""
+    if not isinstance(system, BackwardPentaSystem):
+        raise AttributeError(f"solve takes a BackwardPentaSystem, not "
+                             f"{type(system).__name__}")
+
+
+def _exact_a1(system: BackwardPentaSystem) -> PentaSystem:
+    """A1 X = Y1 for the exact kernel: the system's own entries if all are
+    int or Fraction, else _lift's, which names a NaN or inf entry first."""
+    _require_backward(system)
+    if all(set(map(type, getattr(system, field))) <= {int, Fraction}
+           for field, _ in VECTORS):
+        return reverse_rows(system)
+    return _lift(system, "exact")
 
 
 def _lift(system: BackwardPentaSystem, mode: str = "exact") -> PentaSystem:
@@ -366,24 +374,19 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     back_substitute over Q(x), but come from _band_minors: replacing
     beta_i by x adds x to A1[i][i], so every quantity is a ratio of minors
     of [A1 + xE | Y1], integer polynomials computed with no division.
-    Bareiss's back substitution then gives the Cramer numerators
-    N_k = det x_k with one exact division per row. Canonical rational
-    functions are built only for x_presub, once per component, and x is
-    their eval_at_zero. Raises ValueError, naming the entry, for one that
-    is NaN or infinite as a float.
+    Canonical rational functions are built only for x_presub, once per
+    component of _numerators, and x is their eval_at_zero. Raises
+    ValueError, naming the entry, for one that is NaN or infinite as a
+    float.
     """
     n = system.n
-    rows, scales = _a1_rows(_lift(system, "exact"))
-    bits, replaced, minors = _band_minors(rows, scales)
-    det = minors[-1][0]
-    numers = [0] * (n + 2)
-    for k in range(n - 1, -1, -1):
-        dk, u1, u2, c = minors[k]
-        numers[k] = (c * det - u1 * numers[k + 1] - u2 * numers[k + 2]) // dk
-    det = _unpack(det, bits)
+    rows = list(_a1_rows(_exact_a1(system)))
+    bits = _slot_bits(rows)
+    replaced, minors, scales = _band_minors(rows, bits)
+    det = _unpack(minors[-1][0], bits)
     det_poly = Polynomial(det)
     x_presub = tuple(RationalFunction(Polynomial(_unpack(v, bits)), det_poly)
-                     for v in numers[:n])
+                     for v in _numerators(minors))
     try:
         x = tuple(f.eval_at_zero() for f in x_presub)
     except PoleAtZero:
@@ -396,48 +399,45 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
                        x_presub=x_presub, _system=system)
 
 
-def _a1_rows(system: PentaSystem, m: Optional[int] = None):
-    """Rows i of [A1 | Y1], each scaled by the lcm of its denominators,
-    as integer lists [A1[i][i-2], A1[i][i-1], A1[i][i], A1[i][i+1],
-    A1[i][i+2], Y1[i]] (0-based, zeros off the band); and the scales.
-    Only the leading m rows when m is given."""
+def _a1_rows(system: PentaSystem):
+    """Rows i of [A1 | Y1] in order, each scaled by the lcm of its
+    denominators: pairs (row, scale) of the integer list [A1[i][i-2],
+    A1[i][i-1], A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based, zeros
+    off the band) and the scale, each built only when it is read."""
     n = system.n
     at, a, d, b, bt, y1 = (system.a_tilde, system.a, system.d, system.b,
                            system.b_tilde, system.y1)
-    rows, scales = [], []
-    for i in range(n if m is None else m):
+    for i in range(n):
         j = n - 1 - i  # band index of A1 row i
         row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
                b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y1[i]]
         scale = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
-        scales.append(scale)
-    return rows, scales
+        yield [v.numerator * (scale // v.denominator) for v in row], scale
 
 
-def _slot_bits(rows: list, scales: list) -> int:
-    """Slot width for the packed minors of the rows: one more than the bit
-    length of the product of their absolute row sums plus scales. The
-    product runs over a pairwise tree, O(n log n) bit work where a
-    left-to-right product costs O(n^2)."""
-    terms = [sum(map(abs, row)) + scale for row, scale in zip(rows, scales)]
+def _slot_bits(rows: list) -> int:
+    """Slot width for the packed minors of the (row, scale) pairs: one more
+    than the bit length of the product of their absolute row sums plus
+    scales. The product runs over a pairwise tree, O(n log n) bit work
+    where a left-to-right product costs O(n^2)."""
+    terms = [sum(map(abs, row)) + scale for row, scale in rows]
     while len(terms) > 1:
         terms = [a * b for a, b in zip(terms[::2], terms[1::2])] + (
             terms[-1:] if len(terms) % 2 else [])
     return math.prod(terms).bit_length() + 1
 
 
-def _band_minors(rows: list, scales: list):
+def _band_minors(rows, bits: Optional[int] = None):
     """Bareiss values of the scaled [A1 + xE | Y1], with no division.
 
-    rows and scales come from _a1_rows; a zero pivot k gets scales[k] * x
-    added to its diagonal entry, which in the unscaled system is the
-    placeholder x itself. Polynomials in Z[x] are packed into ints by
-    Kronecker substitution: p is stored as p(X) for X = 2**bits, so that
-    ring operations and exact division in Z[x] are plain int operations.
-    Every value is a minor of the scaled augmented matrix, and bits (from
-    _slot_bits) bounds every coefficient of such a minor; so the packing
-    is injective and _unpack recovers it.
+    rows are _a1_rows' (row, scale) pairs, read one at a time. With bits None
+    a zero pivot k raises ZeroPivot(k + 1); otherwise it gets scale * x added
+    to its diagonal entry: x itself in the unscaled system. Polynomials in
+    Z[x] are packed into ints by Kronecker substitution: p is stored as p(X)
+    for X = 2**bits, so ring operations and exact division in Z[x] are plain
+    int operations. Every value is a minor of the scaled augmented matrix, and
+    bits = _slot_bits(rows) bounds every coefficient of such a minor: the
+    packing is injective, and _unpack recovers it.
 
     A ten-state transfer recurrence (the banded case of Molinari, Linear
     Algebra Appl. 429 (2008); Sogabe, Appl. Math. Comput. 196 (2008)),
@@ -448,16 +448,17 @@ def _band_minors(rows: list, scales: list):
     states in 22 products of a state by a band entry. The new m2m1, m2z,
     m2p and m2y are row k's Bareiss values (D_k, u1, u2, c_k): the minors
     of rows 0..k on columns 0..k-1 and one more column, k, k+1, k+2 or y.
-    D_k is the leading (k+1)-minor. Returns bits, the 1-based replaced
-    pivots and each row's packed (D_k, u1, u2, c_k).
+    D_k is the leading (k+1)-minor. Returns the 1-based replaced pivots,
+    each row's packed (D_k, u1, u2, c_k) and the scales it read.
     """
-    bits = _slot_bits(rows, scales)
     m2z = m2p = m2y = m1z = m1p = m1y = zp = zy = py = 0
     m2m1 = 1
-    replaced, minors = [], []
-    for k, ((r0, r1, r2, r3, r4, ry), scale) in enumerate(zip(rows, scales)):
+    replaced, minors, scales = [], [], []
+    for k, ((r0, r1, r2, r3, r4, ry), scale) in enumerate(rows):
         d = r0 * m1z - r1 * m2z + r2 * m2m1
         if not d:  # redo the step with scale * x added to the diagonal
+            if bits is None:
+                raise ZeroPivot(k + 1)
             replaced.append(k + 1)
             r2 += scale << bits
             d = (scale << bits) * m2m1
@@ -468,7 +469,17 @@ def _band_minors(rows: list, scales: list):
             r0 * zy - r2 * m2y + ry * m2z, r4 * m2p,
             r0 * py - r3 * m2y + ry * m2p, -r4 * m2y)
         minors.append((m2m1, m2z, m2p, m2y))
-    return bits, tuple(replaced), minors
+        scales.append(scale)
+    return tuple(replaced), minors, scales
+
+
+def _numerators(minors: list) -> list:
+    """Cramer numerators N_k = D_n x_k of _band_minors' rows, by Bareiss's
+    N_k = (c_k D_n - u1 N_(k+1) - u2 N_(k+2)) / D_k: one division a row."""
+    det, numers = minors[-1][0], [0, 0]  # N_(n+2), N_(n+1), then N_n..N_1
+    for dk, u1, u2, c in reversed(minors):
+        numers.append((c * det - u1 * numers[-1] - u2 * numers[-2]) // dk)
+    return numers[:1:-1]
 
 
 def _unpack(v: int, bits: int) -> list:

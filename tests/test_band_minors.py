@@ -55,8 +55,10 @@ def test_leading_minors_match_dense_det():
     singular = 0
     for s in _systems(120):
         n = s.n
-        rows, scales = _a1_rows(_lift_exact(s))
-        bits, replaced, minors = _band_minors(rows, scales)
+        pairs = list(_a1_rows(_lift_exact(s)))
+        bits = _slot_bits(pairs)
+        replaced, minors, scales = _band_minors(pairs, bits)
+        rows = [row for row, _ in pairs]
         assert len(minors) == n
         a1 = densify(reverse_rows(s))
         # the scaled integer [A1 | Y1] with scale * 2**bits added on each
@@ -89,4 +91,4 @@ def test_slot_bits_matches_sequential_product(n):
         scales = [1 + rng.next_u64() % 60 for _ in range(n)]
         want = math.prod(sum(map(abs, row)) + scale
                          for row, scale in zip(rows, scales)).bit_length() + 1
-        assert _slot_bits(rows, scales) == want
+        assert _slot_bits(list(zip(rows, scales))) == want

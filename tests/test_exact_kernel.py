@@ -1,24 +1,26 @@
-"""Exact solve against the division-free Z[x] kernel, and the lazy factors.
+"""Exact solve against the paper's recurrences, and the lazy factors.
 
-Exact solve runs the Fraction recurrences in one streamed pass
-(_streamed_solve); solve_symbolic runs _band_minors. Without a zero
-pivot the kernel's Bareiss rows must give the same x and det, and it
-must replace first the pivot at which the pass raises ZeroPivot. Every
-report, in every mode, derives its factors and z on first read from the
-solved system, and they must equal factor (or factor_symbolic) and
-forward_sweep run on that system.
+Exact solve runs _band_minors, the division-free Z[x] kernel that
+solve_symbolic also runs. factor, forward_sweep, back_substitute and
+determinant over Fraction are an independent elimination: they must give
+the same x and det, and factor must raise ZeroPivot at the index where
+exact solve does. An early zero pivot must stop the kernel after the rows
+it needs. Every report, in every mode, derives its factors and z on first
+read from the solved system, and they must equal factor (or
+factor_symbolic) and forward_sweep run on that system.
 """
 
-import math
+import dataclasses
 from array import array
 from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
+from backpenta import (GeneratorConfig, ZeroPivot, back_substitute,
+                       determinant, factor, factor_symbolic,
                        force_interior_zero_pivot, forward_sweep, generate,
                        reverse_rows, solve, solve_symbolic)
-from backpenta.solver import _a1_rows, _band_minors
+from backpenta import solver
 
 SIZES = range(5, 45)
 ZEROS = ((), ("d_n",), ("d_3",))  # entries zeroed by generate
@@ -37,19 +39,15 @@ def _exact(system):
     return report.x, report.det
 
 
-def _kernel(system):
-    """(x, det) from _band_minors, or the first replaced pivot."""
-    rows, scales = _a1_rows(reverse_rows(system.map_scalars(Fraction)))
-    _, replaced, minors = _band_minors(rows, scales)
-    if replaced:
-        return replaced[0]
-    # nothing replaced: every packed value is a plain int, and row k of
-    # the Bareiss form reads D_k x_k + u1 x_(k+1) + u2 x_(k+2) = c_k
-    x = [0] * (len(rows) + 2)
-    for k in range(len(rows) - 1, -1, -1):
-        dk, u1, u2, c = minors[k]
-        x[k] = (c - u1 * x[k + 1] - u2 * x[k + 2]) / Fraction(dk)
-    return tuple(x[:-2]), Fraction(minors[-1][0], math.prod(scales))
+def _recurrences(system):
+    """(x, det) from the recurrences over Fraction, or the index at which
+    factor raises ZeroPivot."""
+    p = reverse_rows(system.map_scalars(Fraction))
+    try:
+        lu = factor(p)
+    except ZeroPivot as exc:
+        return exc.index
+    return back_substitute(p, lu, forward_sweep(p, lu)), determinant(lu)
 
 
 def _systems():
@@ -69,11 +67,11 @@ def _systems():
                 yield "interior", forced
 
 
-def test_exact_solve_matches_the_band_kernel():
+def test_exact_solve_matches_the_recurrences():
     stops, solved = set(), 0
     for label, system in _systems():
         want = _exact(system)
-        assert _kernel(system) == want, (label, system.n)
+        assert _recurrences(system) == want, (label, system.n)
         if isinstance(want, int):
             stops.add("leading" if want == 1 else label)
         else:
@@ -82,11 +80,33 @@ def test_exact_solve_matches_the_band_kernel():
     assert solved >= len(SIZES)
 
 
-def test_large_exact_solve_matches_the_band_kernel():
+def test_large_exact_solve_matches_the_recurrences():
     system = generate(GeneratorConfig(seed=4, n=1000))
     want = _exact(system)
     assert not isinstance(want, int)
-    assert _kernel(system) == want
+    assert _recurrences(system) == want
+
+
+def test_early_zero_pivot_reads_at_most_two_rows(monkeypatch):
+    read, a1_rows = [], solver._a1_rows
+
+    def counted(system):
+        for pair in a1_rows(system):
+            read.append(pair)
+            yield pair
+
+    monkeypatch.setattr(solver, "_a1_rows", counted)
+    system = generate(GeneratorConfig(seed=4, n=20000,
+                                      force_zero_pivots=("d_n",)))
+    with pytest.raises(ZeroPivot) as exc:
+        solve(system, mode="exact")
+    assert exc.value.index == 1
+    assert 0 < len(read) <= 2
+    # a NaN anywhere is named before any pivot is tried
+    nan_y1 = dataclasses.replace(system, y=(float("nan"),) + system.y[1:])
+    with pytest.raises(ValueError,
+                       match=r"^vector y: entry y_1 is nan, not finite$"):
+        solve(nan_y1, mode="exact")
 
 
 def _float_bytes(lu, z):

@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from backpenta import (BackwardPentaSystem, LengthMismatch, PentaSystem,
-                       new_system, reverse_rows, solve)
+                       new_system, reverse_rows, solve, solve_symbolic)
 
 BANDS = ([3, 2, 3], [-1, -2, 1, 4], [1, 2, 2, -2, -1], [4, 1, 2, 1],
          [1, 2, 1])
@@ -24,6 +24,17 @@ def test_reversed_system_is_a_distinct_type():
 def test_solve_rejects_a_reversed_system():
     with pytest.raises(AttributeError):
         solve(reverse_rows(new_system(*BANDS, [10, 26, 20, 14, 4])))
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: solve(s, mode="exact"), lambda s: solve(s, mode="float"),
+    solve_symbolic], ids=["exact", "float", "symbolic"])
+def test_every_entry_point_names_a_reversed_system(run):
+    # int entries skip the exact lift, so only the type check stops A1
+    # from being solved as if it were A
+    with pytest.raises(AttributeError, match="^solve takes a "
+                       "BackwardPentaSystem, not PentaSystem$"):
+        run(reverse_rows(new_system(*BANDS, [10, 26, 20, 14, 4])))
 
 
 @pytest.mark.parametrize("cls", [BackwardPentaSystem, PentaSystem])
