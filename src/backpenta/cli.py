@@ -11,10 +11,12 @@ exactly 7 data lines:
 
 n is written in ASCII digits. Entries are integers, exact decimals, or
 p/q rationals, in ASCII, without '_' digit separators, and with exponents
-of at most four digits (1e9999, not 1e10000). A data line of integers
-only is read with int; any other line goes through the Fraction grammar
-(ratfunc.from_literal). Both give equal values, so every mode prints the
-same output either way.
+of at most four digits (1e9999, not 1e10000). Each data line goes to the
+first of three readers that takes it: the JSON decoder for a line of
+plain integers (digits and '-', single spaces), int for any other line
+of integers, and the Fraction grammar (ratfunc.from_literal) for the
+rest. All three give equal values, so every mode prints the same output
+whichever reads a line.
 
 check runs solve_symbolic once; "mode: exact" means no pivot was replaced.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import re
 import sys
@@ -62,6 +65,7 @@ class UsageError(Exception):
 
 
 _LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
+_PLAIN_INTEGER_BYTES = b"0123456789- "
 
 
 def parse_system_text(text: str) -> BackwardPentaSystem:
@@ -75,16 +79,29 @@ def parse_system_text(text: str) -> BackwardPentaSystem:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"first data line must be n, got {lines[0]!r}") from None
-    # Line by line: ASCII and no '_' (int takes both non-ASCII digits and
-    # '_', Fraction takes '_' from Python 3.11 on), then int, then, on a
-    # line int rejects, the scan for long exponents, which parse slowly
-    # (int reads no exponent). Those lines go through Fraction only once
-    # every line has passed its checks. The checks leave no token that int
-    # reads and Fraction rejects, and a token over the digit limit fails
-    # both ways.
+    # Line by line, three readers, each for what the one before rejects.
+    # A line must be ASCII with no '_' (int takes both non-ASCII digits
+    # and '_', Fraction takes '_' from Python 3.11 on). A line of only
+    # digits, '-' and spaces goes to the C JSON decoder, with each space
+    # made a comma: it builds the ints without a str per token, takes only
+    # tokens -?(0|[1-9][0-9]*), which int reads to the same value under
+    # the same digit limit, and rejects the rest of such lines (leading
+    # zeros, a lone '-', double spaces). Then int, then, on a line int
+    # rejects, the scan for long exponents, which parse slowly (int reads
+    # no exponent). Those lines go through Fraction only once every line
+    # has passed its checks. The checks leave no token that int reads and
+    # Fraction rejects, and a token over the digit limit fails all three
+    # ways.
     vectors, fraction_lines = [], []
     for k, ln in enumerate(lines[1:], 2):
         if ln.isascii() and "_" not in ln:
+            if not ln.encode().translate(None, _PLAIN_INTEGER_BYTES):
+                try:
+                    vectors.append(
+                        json.loads("[" + ln.replace(" ", ",") + "]"))
+                    continue
+                except ValueError:
+                    pass
             try:
                 vectors.append(list(map(int, ln.split())))
                 continue

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import random
 import re
@@ -14,9 +15,9 @@ import backpenta.cli as cli
 from backpenta.cli import (format_system, main, parse_system_text,
                            read_system)
 from backpenta.oracle import GeneratorConfig, Singular, generate
-from backpenta.ratfunc import PoleAtZero
+from backpenta.ratfunc import PoleAtZero, from_literal
 from backpenta.solver import solve
-from backpenta.systems import new_system
+from backpenta.systems import LengthMismatch, new_system
 
 EX31_FILE = """\
 # size-5 backward pentadiagonal system
@@ -110,6 +111,30 @@ class TestParsing:
                                                 "1 2 2 -2 1e9999"))
         assert s.d[-1] == 10 ** 9999
 
+    def test_readers_match_the_int_then_fraction_rule(self):
+        rng = random.Random(18)
+        outcomes = [(_outcome(parse_system_text, text),
+                     _outcome(_int_then_fraction, text))
+                    for text in (_fuzz_file(rng) for _ in range(3000))]
+        assert all(new == old for new, old in outcomes)
+        # every route is taken: answers, bad tokens and wrong lengths
+        kinds = {new[0] for new, _ in outcomes}
+        assert kinds == {"ok", cli.ParseError, LengthMismatch}
+
+    def test_plain_integer_lines_take_the_json_route(self, monkeypatch,
+                                                    capsys):
+        assert main(["gen", "--seed", "1", "--n", "30"]) == 0
+        text = capsys.readouterr().out
+        calls, json_loads = [], cli.json.loads
+
+        def loads(s):
+            value = json_loads(s)
+            calls.append(s)  # a line the decoder rejects is not counted
+            return value
+        monkeypatch.setattr(cli.json, "loads", loads)
+        assert parse_system_text(text) == _int_then_fraction(text)
+        assert len(calls) == 6
+
     def test_read_missing_file(self):
         with pytest.raises(ValueError):
             read_system("/nonexistent/system.txt")
@@ -130,18 +155,112 @@ class TestParsing:
         assert captured.out == ""
 
 
-def _k_over_1(text):
-    """text with every integer entry written as k/1, which the parser
-    reads through the Fraction grammar instead of int."""
+def _rewrite_data_lines(text, rewrite):
+    """text with rewrite applied to each data line after n."""
     out, seen_n = [], False
     for line in text.splitlines():
         if line.strip() and not line.startswith("#"):
             if seen_n:
-                line = " ".join(tok + "/1" if re.fullmatch(r"[+-]?[0-9]+", tok)
-                                else tok for tok in line.split())
+                line = rewrite(line)
             seen_n = True
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+def _k_over_1(text):
+    """text with every integer entry written as k/1, which the parser
+    reads through the Fraction grammar instead of int."""
+    return _rewrite_data_lines(text, lambda line: " ".join(
+        tok + "/1" if re.fullmatch(r"[+-]?[0-9]+", tok) else tok
+        for tok in line.split()))
+
+
+def _respaced(text):
+    """text with each separator on its data lines doubled or made a tab,
+    in turn, which sends integer lines to int instead of the JSON
+    decoder."""
+    def rewrite(line):
+        seps = itertools.cycle(("  ", "\t"))
+        return re.sub(" ", lambda _: next(seps), line)
+    return _rewrite_data_lines(text, rewrite)
+
+
+def _typed(system):
+    """system's entries with their types: == alone takes 1 == Fraction(1)."""
+    return [(type(v), v) for vec in (system.a_tilde, system.a, system.d,
+                                     system.b, system.b_tilde, system.y)
+            for v in vec]
+
+
+_LONG_EXPONENT = re.compile(r"[eE][+-]?[0-9]{5}")
+
+
+def _int_then_fraction(text):
+    """parse_system_text without the JSON reader: each data line is read
+    with int, and a line int rejects with the Fraction grammar."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+             if ln and not ln.startswith("#")]
+    if len(lines) != 7:
+        raise cli.ParseError(f"expected 7 data lines, found {len(lines)}")
+    if not (lines[0].isascii() and lines[0].isdigit()):
+        raise cli.ParseError(
+            f"first data line must be n, got {lines[0]!r}")
+    n = int(lines[0])
+    vectors, fraction_lines = [], []
+    for k, ln in enumerate(lines[1:], 2):
+        if ln.isascii() and "_" not in ln:
+            try:
+                vectors.append(list(map(int, ln.split())))
+                continue
+            except ValueError:
+                if not _LONG_EXPONENT.search(ln):
+                    fraction_lines.append(len(vectors))
+                    vectors.append(ln.split())
+                    continue
+        raise cli.ParseError(f"data line {k}: entries must be ASCII, without "
+                             "'_', with exponents of at most 4 digits")
+    try:
+        for i in fraction_lines:
+            vectors[i] = list(map(from_literal, vectors[i]))
+    except ValueError as exc:
+        raise cli.ParseError(str(exc)) from None
+    if len(vectors[2]) != n:
+        raise cli.ParseError(f"d line has {len(vectors[2])} entries but n={n}")
+    return new_system(*vectors)
+
+
+# tokens that int or Fraction take and the JSON grammar rejects, then
+# tokens that every reader rejects
+_ODD_TOKENS = ("-0", "00", "007", "+3", "1e5", "1/3", "0.5",
+               "4" * 4300, "-" + "9" * 4300)
+_BAD_TOKENS = ("-", "--1", "1-2", "true", "null", "7" * 4301)
+
+
+def _fuzz_file(rng):
+    """A system file of size 5-9 whose data lines mix plain integers,
+    _ODD_TOKENS and, now and then, a bad token or a wrong length, joined
+    by single spaces or by tabs and double spaces."""
+    n = rng.randint(5, 9)
+    lines = [str(n)]
+    for length in (n - 2, n - 1, n, n - 1, n - 2, n):
+        length += rng.random() < 0.03
+        toks = [rng.choice(_ODD_TOKENS) if rng.random() < 0.1
+                else str(rng.randint(-999, 999)) for _ in range(length)]
+        if rng.random() < 0.06:
+            toks[rng.randrange(length)] = rng.choice(_BAD_TOKENS)
+        if rng.random() < 0.5:
+            lines.append(" ".join(toks))
+        else:
+            lines.append("".join(tok + rng.choice((" ", " ", "\t", "  "))
+                                 for tok in toks).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", _typed(parse(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 # integer-only lines with signs, -0 and leading zeros, and mixed lines
@@ -151,8 +270,10 @@ _MIXED_FILE = (EX31_FILE.replace("3 2 3", "+3 2 007")
 
 
 class TestIntegerLinesMatchFractionGrammar:
-    """Integer-only lines are read with int; rewriting every integer as
-    k/1 sends them through Fraction instead and must change nothing."""
+    """Plain integer lines are read with the JSON decoder. Doubling their
+    separators or making them tabs sends them to int, and rewriting every
+    integer as k/1 sends them through Fraction; neither may change
+    anything."""
 
     @pytest.fixture(params=[
         "ex31", "ex32", "app2", "mixed", "1e9999",
@@ -171,20 +292,23 @@ class TestIntegerLinesMatchFractionGrammar:
                 }[name]
 
     def test_parsed_systems_are_equal(self, text):
-        assert _k_over_1(text) != text
-        assert parse_system_text(_k_over_1(text)) == parse_system_text(text)
+        assert text != _respaced(text) and text != _k_over_1(text)
+        system = parse_system_text(text)
+        assert _typed(parse_system_text(_respaced(text))) == _typed(system)
+        assert parse_system_text(_k_over_1(text)) == system
 
     @pytest.mark.parametrize("mode", ["float", "exact", "symbolic"])
     def test_solve_output_is_identical(self, text, mode, tmp_path, capsys):
         results = []
-        for name, body in (("int.txt", text), ("frac.txt", _k_over_1(text))):
+        for name, body in (("plain.txt", text), ("int.txt", _respaced(text)),
+                           ("frac.txt", _k_over_1(text))):
             p = tmp_path / name
             p.write_text(body)
             code = main(["solve", str(p), "--mode", mode, "--det",
                          "--dump-factors"])
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
 
 
 class TestSolveCommand:
