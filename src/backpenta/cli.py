@@ -47,7 +47,7 @@ from .oracle import GeneratorConfig, Singular, dense_solve, generate
 from .ratfunc import PoleAtZero, from_literal
 from .solver import ZeroPivot, solve, solve_symbolic
 from .systems import (BackwardPentaSystem, LengthMismatch, SizeTooSmall,
-                      densify, new_system)
+                      band_product, densify, new_system)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,18 +177,16 @@ def cmd_check(args) -> int:
         report = solve_symbolic(system)
     except PoleAtZero:
         report = None
-    dense = densify(system)
     try:
-        oracle_x = dense_solve(dense, system.y)
+        oracle_x = dense_solve(densify(system), system.y)
     except Singular:
         oracle_x = None
     if report is None and oracle_x is None:
         print("SINGULAR: both the banded and the dense path report no "
               "unique solution", file=sys.stderr)
         return EXIT_SINGULAR
-    if oracle_x is None and report.det == 0 and all(
-            sum(c * v for c, v in zip(row, report.x)) == yi
-            for row, yi in zip(dense, system.y)):
+    if (oracle_x is None and report.det == 0
+            and band_product(system, report.x) == system.y):
         # consistent singular system: a solution exists, but not a unique one
         print("SINGULAR: no unique solution; the banded path found a "
               "solution with det(A1) = 0")
@@ -236,6 +234,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="backpenta",
                      description="Solve backward pentadiagonal linear systems.")
@@ -271,17 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parse_args keeps no
-    state between calls."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

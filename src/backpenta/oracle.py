@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .solver import _a1_rows, _band_minors, _lift, _slot_bits, _unpack
-from .systems import BANDS, BackwardPentaSystem, new_system
+from .systems import BANDS, BackwardPentaSystem, band_product, new_system
 
 _MASK64 = (1 << 64) - 1
 
@@ -175,18 +175,12 @@ def generate(config: GeneratorConfig) -> BackwardPentaSystem:
     for pos in config.force_zero_pivots:
         field, idx = _band_slot(pos, n)
         bands[field][idx] = 0
+    system = new_system(**bands, y=[0] * n)
     if config.known_solution:
-        sol = [rng.uniform_int(3) for _ in range(n)]
-        y = [0] * n
-        # y = A sol in O(n): entry j of a band sits at (row0 + j, col0 - j)
-        for field, k in BANDS:
-            row0 = max(k, 0)
-            col0 = n - 1 - row0 + k
-            for j, v in enumerate(bands[field]):
-                y[row0 + j] += v * sol[col0 - j]
+        y = band_product(system, [rng.uniform_int(3) for _ in range(n)])
     else:
         y = draw(n)
-    return new_system(**bands, y=y)
+    return replace(system, y=y)
 
 
 def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
@@ -221,4 +215,4 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
         return None
     d = list(p.d)
     d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
-    return new_system(p.a_tilde, p.a, d, p.b, p.b_tilde, p.y1[::-1])
+    return replace(p, d=d)

@@ -1,23 +1,23 @@
 """Linear-time LU solve of backward pentadiagonal systems.
 
 The recurrences are written once over whatever scalar type the system
-carries:
-
-* numeric/exact: fails fast on a zero pivot beta_i;
-* symbolic rescue (factor_symbolic): every identically-zero pivot is
-  replaced by a single placeholder symbol and all downstream quantities
-  become rational functions of it.
+carries: factor fails fast on a zero pivot beta_i; factor_symbolic
+replaces every identically-zero pivot by a placeholder symbol x, over
+Q(x). That Q(x) recurrence is the rescue's reference and the source of a
+symbolic report's factors; solve_symbolic runs the kernel below.
 
 factor, forward_sweep and back_substitute are the indexed form: each
-row reads its band entries and earlier results by index. They derive a
-report's factors and z, and are the reference for float solve, which runs
+row reads its band entries of A1 X = Y1, a PentaSystem, and earlier
+results by index. They derive a report's factors and z, the one place A1
+is built, and are the reference for float solve, which runs
 the same operations in the same order fused into one pass that lifts each
 entry as it reads it (_streamed_solve).
 
 Exact answers come from one division-free kernel, _band_minors: a transfer
-recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1]. Exact solve
-stops at its first zero pivot; solve_symbolic replaces each by x, and
-evaluates the finished solution and determinant at placeholder = 0.
+recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1], which
+_a1_rows reads in place from the backward system. Exact solve stops at
+its first zero pivot; solve_symbolic replaces each by x, and evaluates
+the finished solution and determinant at placeholder = 0.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -86,7 +86,7 @@ class SolveReport:
 
     @functools.cached_property
     def _a1(self) -> PentaSystem:  # lifted again: the solve's lift succeeded
-        return _lift(self._system, self.mode)
+        return reverse_rows(_lift(self._system, self.mode))
 
     @functools.cached_property
     def factors(self) -> LUFactors:  # without tol: no pivot fell below it
@@ -213,14 +213,14 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     if tol is not None and not tol >= 0:  # |beta| < nan is never true
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if mode == "exact":
-        _, minors, scales = _band_minors(_a1_rows(_exact_a1(system)))
+        _, minors, scales = _band_minors(_a1_rows(system))
         det = minors[-1][0]
         return SolveReport(
             tuple(Fraction(v, det) for v in _numerators(minors)),
             Fraction(det, math.prod(scales)), mode, _system=system)
     _require_backward(system)
     try:
-        x, beta = _streamed_solve(system, float, tol)
+        x, beta = _streamed_solve(system, tol)
     except (ArithmeticError, ValueError, TypeError):  # lift or ZeroPivot
         _lift(system, "float")
         raise
@@ -232,7 +232,7 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
                        mode=mode, _system=system)
 
 
-def _streamed_solve(system: BackwardPentaSystem, lift, tol):
+def _streamed_solve(system: BackwardPentaSystem, tol):
     """x and the pivots beta_1..beta_n of A1 X = Y1, from the unlifted
     system in one pass over its bands: float solve's pass.
 
@@ -252,22 +252,22 @@ def _streamed_solve(system: BackwardPentaSystem, lift, tol):
             raise ZeroPivot(i)
         return s
 
-    beta2 = checked(1, lift(d[n - 1]))
-    g = lift(a[n - 2]) / beta2
-    alpha2 = lift(b[n - 2])
-    beta1 = checked(2, lift(d[n - 2]) - alpha2 * g)
-    bti = lift(bt[n - 3])
-    alpha1 = lift(b[n - 3]) - g * bti
-    z2 = lift(y[n - 1])
-    z1 = lift(y[n - 2]) - g * z2
+    beta2 = checked(1, float(d[n - 1]))
+    g = float(a[n - 2]) / beta2
+    alpha2 = float(b[n - 2])
+    beta1 = checked(2, float(d[n - 2]) - alpha2 * g)
+    bti = float(bt[n - 3])
+    alpha1 = float(b[n - 3]) - g * bti
+    z2 = float(y[n - 1])
+    z1 = float(y[n - 2]) - g * z2
     alpha, beta, z = [alpha2, alpha1], [beta2, beta1], [z2, z1]
     # Row i = 3..n-1 reads a~, a, d and y at band index n-i and b and b~ at
     # n-i-1, each slice running backwards; bti carries b~ at n-i, read by
     # the row before as its b~ at n-i-1.
     for ati, ai, di, bi, bti1, yi in zip(
-            map(lift, at[n - 3:0:-1]), map(lift, a[n - 3:0:-1]),
-            map(lift, d[n - 3:0:-1]), map(lift, b[n - 4::-1]),
-            map(lift, bt[n - 4::-1]), map(lift, y[n - 3:0:-1])):
+            map(float, at[n - 3:0:-1]), map(float, a[n - 3:0:-1]),
+            map(float, d[n - 3:0:-1]), map(float, b[n - 4::-1]),
+            map(float, bt[n - 4::-1]), map(float, y[n - 3:0:-1])):
         mult = ati / beta2  # a~_(n-i+1) / beta_(i-2)
         g = (ai - mult * alpha2) / beta1
         al = bi - g * bti1
@@ -279,16 +279,16 @@ def _streamed_solve(system: BackwardPentaSystem, lift, tol):
         alpha.append(al)
         beta.append(s)
         z.append(z1)
-    mult = lift(at[0]) / beta2
-    g = (lift(a[0]) - mult * alpha2) / beta1
-    beta.append(checked(n, lift(d[0]) - mult * bti - alpha1 * g))
-    z.append(lift(y[0]) - mult * z2 - g * z1)
+    mult = float(at[0]) / beta2
+    g = (float(a[0]) - mult * alpha2) / beta1
+    beta.append(checked(n, float(d[0]) - mult * bti - alpha1 * g))
+    z.append(float(y[0]) - mult * z2 - g * z1)
 
     x2 = z[n - 1] / beta[n - 1]
     x1 = (z[n - 2] - alpha[n - 2] * x2) / beta[n - 2]
     x = [x2, x1]
     for zi, al, bti, s in zip(z[n - 3::-1], alpha[n - 3::-1],
-                              map(lift, bt), beta[n - 3::-1]):
+                              map(float, bt), beta[n - 3::-1]):
         x2, x1 = x1, (zi - al * x1 - bti * x2) / s
         x.append(x1)
     x.reverse()
@@ -302,22 +302,13 @@ def _require_backward(system) -> None:
                              f"{type(system).__name__}")
 
 
-def _exact_a1(system: BackwardPentaSystem) -> PentaSystem:
-    """A1 X = Y1 for the exact kernel: the system's own entries if all are
-    int or Fraction, else _lift's, which names a NaN or inf entry first."""
-    _require_backward(system)
-    if all(set(map(type, getattr(system, field))) <= {int, Fraction}
-           for field, _ in VECTORS):
-        return reverse_rows(system)
-    return _lift(system, "exact")
-
-
-def _lift(system: BackwardPentaSystem, mode: str = "exact") -> PentaSystem:
-    """A1 X = Y1 over float in float mode and over Fraction otherwise, the
-    one lift of every mode. Names the first faulty entry in BANDS order
-    then y: in float mode OverflowError for one beyond the float range,
-    then ValueError for a NaN or inf; otherwise ValueError for a NaN or
-    inf."""
+def _lift(system: BackwardPentaSystem,
+          mode: str = "exact") -> BackwardPentaSystem:
+    """The system over float in float mode and over Fraction otherwise, the
+    one lift of every mode; its rows stay in the order of A. Names the
+    first faulty entry in BANDS order then y: in float mode OverflowError
+    for one beyond the float range, then ValueError for a NaN or inf;
+    otherwise ValueError for a NaN or inf."""
     if mode == "float":
         try:
             lifted = system.map_scalars(float)
@@ -335,7 +326,7 @@ def _lift(system: BackwardPentaSystem, mode: str = "exact") -> PentaSystem:
         except (ValueError, OverflowError):  # Fraction of a float NaN or inf
             _name_entry(system, ValueError, _not_finite)
             raise
-    return reverse_rows(lifted)
+    return lifted
 
 
 def _not_finite(v) -> Optional[str]:
@@ -380,7 +371,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     float.
     """
     n = system.n
-    rows = list(_a1_rows(_exact_a1(system)))
+    rows = list(_a1_rows(system))
     bits = _slot_bits(rows)
     replaced, minors, scales = _band_minors(rows, bits)
     det = _unpack(minors[-1][0], bits)
@@ -399,18 +390,27 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
                        x_presub=x_presub, _system=system)
 
 
-def _a1_rows(system: PentaSystem):
+def _a1_rows(system: BackwardPentaSystem):
     """Rows i of [A1 | Y1] in order, each scaled by the lcm of its
     denominators: pairs (row, scale) of the integer list [A1[i][i-2],
     A1[i][i-1], A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based, zeros
-    off the band) and the scale, each built only when it is read."""
+    off the band) and the scale, each built only when it is read. Row i
+    is entry n - 1 - i of each band and of y of the backward system.
+
+    First rejects a system that is not backward, then reads int and
+    Fraction entries as they are, else _lift's, which names a NaN or inf
+    entry before any row: this scan keeps every ZeroPivot after it."""
+    _require_backward(system)
+    if not all(set(map(type, getattr(system, field))) <= {int, Fraction}
+               for field, _ in VECTORS):
+        system = _lift(system)
     n = system.n
-    at, a, d, b, bt, y1 = (system.a_tilde, system.a, system.d, system.b,
-                           system.b_tilde, system.y1)
+    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
+                          system.b_tilde, system.y)
     for i in range(n):
         j = n - 1 - i  # band index of A1 row i
         row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
-               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y1[i]]
+               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y[j]]
         scale = math.lcm(*(v.denominator for v in row))
         yield [v.numerator * (scale // v.denominator) for v in row], scale
 

@@ -97,6 +97,18 @@ def laplacian_system(n: int, y) -> BackwardPentaSystem:
         *((1 if k else -4,) * (n - abs(k)) for _, k in BANDS), y)
 
 
+def band_product(system: BackwardPentaSystem, v) -> tuple:
+    """A v in O(n), exact over int and Fraction."""
+    n = system.n
+    out = [0] * n
+    for field, k in BANDS:  # entry j sits at (row0 + j, col0 - j)
+        row0 = max(k, 0)
+        col0 = n - 1 - row0 + k
+        for j, c in enumerate(getattr(system, field)):
+            out[row0 + j] += c * v[col0 - j]
+    return tuple(out)
+
+
 def densify(system) -> list:
     """Expand to a dense n x n row-major matrix (zeros off the five bands)."""
     n = system.n

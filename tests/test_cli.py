@@ -481,6 +481,20 @@ class TestSolveCommand:
             "", f"error: data line {line}: entries must be ASCII, without "
             "'_', with exponents of at most 4 digits\n")
 
+    def test_readme_example(self, tmp_path, capsys):
+        # the example file in README.md and the output shown under it
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        example = re.search(r"An example file:\n\n```\n(.*?)```", readme,
+                            re.S).group(1)
+        shown = re.search(r"\$ backpenta solve example\.txt --det\n(.*?)```",
+                          readme, re.S).group(1)
+        path = tmp_path / "example.txt"
+        path.write_text(example)
+        assert main(["solve", str(path), "--det"]) == 0
+        assert capsys.readouterr().out == shown
+
     def test_byte_deterministic(self, ex31_path, capsys):
         main(["solve", ex31_path, "--det"])
         first = capsys.readouterr().out

@@ -6,10 +6,10 @@ earlier results by index. factor_symbolic must replace a pivot forced to
 zero first, wherever it is, and factor with tol must stop at a pivot
 forced below it.
 
-Float and exact solve run their own single pass over the unlifted bands;
-it must give what factor, forward_sweep, back_substitute and determinant
-give on the lifted system: the same bits in float, equal values in exact
-mode and the same ZeroPivot index.
+Float solve runs its own single pass over the unlifted bands, and exact
+solve the Z[x] band kernel; each must give what factor, forward_sweep,
+back_substitute and determinant give on the lifted system: the same bits
+in float, equal values in exact mode and the same ZeroPivot index.
 """
 
 import math

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from backpenta import (GeneratorConfig, LengthMismatch, SizeTooSmall,
-                       densify, dense_solve, generate, laplacian_system,
-                       new_system, reverse_rows, solve)
+                       SplitMix64, densify, dense_solve, generate,
+                       laplacian_system, new_system, reverse_rows, solve)
+from backpenta.systems import band_product
 
 EX31_MATRIX = [
     [0, 0, 3, -1, 1],
@@ -122,3 +123,18 @@ def test_densify_matches_if_chain(n):
     assert densify(s) == want
     assert densify(reverse_rows(s)) == want[::-1]
     assert sum(1 for row in want for v in row if v) == 5 * n - 6
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_band_product_matches_dense_row_sums(n):
+    rng = SplitMix64(n)
+    s = generate(GeneratorConfig(seed=n, n=n))
+    for system in (s, s.map_scalars(lambda v: Fraction(v, 7))):
+        dense = densify(system)
+        for v in ([rng.uniform_int(9) for _ in range(n)],
+                  [Fraction(rng.uniform_int(9), 1 + rng.uniform_int(4) ** 2)
+                   for _ in range(n)]):
+            want = tuple(sum(c * vj for c, vj in zip(row, v)) for row in dense)
+            got = band_product(system, v)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
