@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .solver import _a1_rows, _band_minors, _lift, _slot_bits, _unpack
 from .systems import BANDS, BackwardPentaSystem, band_product, new_system
@@ -170,17 +171,15 @@ def generate(config: GeneratorConfig) -> BackwardPentaSystem:
     """Produce the system determined by the config (same seed, same system)."""
     rng = SplitMix64(config.seed)
     n, m = config.n, config.entry_range
-    draw = lambda count: [rng.uniform_int(m) for _ in range(count)]
+    draw = lambda count, top=m: [rng.uniform_int(top) for _ in range(count)]
     bands = {field: draw(n - abs(k)) for field, k in BANDS}
     for pos in config.force_zero_pivots:
         field, idx = _band_slot(pos, n)
         bands[field][idx] = 0
-    system = new_system(**bands, y=[0] * n)
-    if config.known_solution:
-        y = band_product(system, [rng.uniform_int(3) for _ in range(n)])
-    else:
-        y = draw(n)
-    return replace(system, y=y)
+    # band_product reads only n and the bands, so y comes before the system
+    y = (band_product(SimpleNamespace(n=n, **bands), draw(n, 3))
+         if config.known_solution else draw(n))
+    return new_system(**bands, y=y)
 
 
 def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):

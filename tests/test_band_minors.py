@@ -6,22 +6,16 @@ against a sequential one.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 
+from answers import divided
 from backpenta import (GeneratorConfig, SplitMix64, dense_det, densify,
                        force_interior_zero_pivot, generate, reverse_rows)
 from backpenta.solver import (_a1_rows, _band_minors, _lift as _lift_exact,
                               _slot_bits, _unpack)
 
 ZERO_SETS = ((), ("d_n",), ("d_1",), ("d_n", "d_3"), ("a_1", "b_2"))
-
-
-def _with_denominators(system, seed):
-    # the same zeros, with every entry divided by a seeded 1..5
-    rng = SplitMix64(seed)
-    return system.map_scalars(lambda v: Fraction(v, 1 + rng.next_u64() % 5))
 
 
 def _systems(count):
@@ -35,7 +29,7 @@ def _systems(count):
         if seed % 4 == 3:
             s = force_interior_zero_pivot(s, n) or s
         if seed % 2:
-            s = _with_denominators(s, seed)
+            s = divided(s, seed, 5)
         yield s
 
 

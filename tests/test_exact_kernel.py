@@ -1,53 +1,35 @@
 """Exact solve against the paper's recurrences, and the lazy factors.
 
 Exact solve runs _band_minors, the division-free Z[x] kernel that
-solve_symbolic also runs. factor, forward_sweep, back_substitute and
-determinant over Fraction are an independent elimination: they must give
-the same x and det, and factor must raise ZeroPivot at the index where
-exact solve does. An early zero pivot must stop the kernel after the rows
-it needs. Every report, in every mode, derives its factors and z on first
-read from the solved system, and they must equal factor (or
-factor_symbolic) and forward_sweep run on that system.
+solve_symbolic also runs. answers.reference, the recurrences over
+Fraction, is an independent elimination: exact solve must give its x and
+det, and raise the ZeroPivot that factor raises. An early zero pivot must
+stop the kernel after the rows it needs. Every report, in every mode,
+derives its factors and z on first read from the solved system, and they
+must equal factor (or factor_symbolic) and forward_sweep run on that
+system.
 """
 
 import dataclasses
 from array import array
-from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, ZeroPivot, back_substitute,
-                       determinant, factor, factor_symbolic,
+from answers import lifted, reference, solved
+from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
                        force_interior_zero_pivot, forward_sweep, generate,
-                       reverse_rows, solve, solve_symbolic)
+                       solve, solve_symbolic)
 from backpenta import solver
 
 SIZES = range(5, 45)
 ZEROS = ((), ("d_n",), ("d_3",))  # entries zeroed by generate
 
 
-def _exact(system):
-    """(x, det) from exact solve, or the ZeroPivot index; the report's
-    factors and z must be the recurrences' own."""
-    try:
-        report = solve(system, mode="exact")
-    except ZeroPivot as exc:
-        return exc.index
-    p = reverse_rows(system.map_scalars(Fraction))
+def _check_factors(system):
+    """The exact report's factors and z are the recurrences' own."""
+    report, p = solve(system, mode="exact"), lifted(system, "exact")
     lu = factor(p)
     assert report.factors == lu and report.z == forward_sweep(p, lu)
-    return report.x, report.det
-
-
-def _recurrences(system):
-    """(x, det) from the recurrences over Fraction, or the index at which
-    factor raises ZeroPivot."""
-    p = reverse_rows(system.map_scalars(Fraction))
-    try:
-        lu = factor(p)
-    except ZeroPivot as exc:
-        return exc.index
-    return back_substitute(p, lu, forward_sweep(p, lu)), determinant(lu)
 
 
 def _systems():
@@ -68,23 +50,26 @@ def _systems():
 
 
 def test_exact_solve_matches_the_recurrences():
-    stops, solved = set(), 0
+    stops, solved_count = set(), 0
     for label, system in _systems():
-        want = _exact(system)
-        assert _recurrences(system) == want, (label, system.n)
-        if isinstance(want, int):
-            stops.add("leading" if want == 1 else label)
+        want = reference(system, "exact")
+        assert solved(system, "exact") == want, (label, system.n)
+        if want[0] is ZeroPivot:
+            stops.add("leading" if want == (ZeroPivot, str(ZeroPivot(1)))
+                      else label)
         else:
-            solved += 1
+            _check_factors(system)
+            solved_count += 1
     assert stops == {"leading", "generate", "interior"}
-    assert solved >= len(SIZES)
+    assert solved_count >= len(SIZES)
 
 
 def test_large_exact_solve_matches_the_recurrences():
     system = generate(GeneratorConfig(seed=4, n=1000))
-    want = _exact(system)
-    assert not isinstance(want, int)
-    assert _recurrences(system) == want
+    want = reference(system, "exact")
+    assert want[0] is not ZeroPivot
+    assert solved(system, "exact") == want
+    _check_factors(system)
 
 
 def test_early_zero_pivot_reads_at_most_two_rows(monkeypatch):
@@ -118,7 +103,7 @@ def _float_bytes(lu, z):
 def test_float_report_factors_are_bit_identical(ex31, app1, tol):
     for system in (ex31, app1):
         report = solve(system, mode="float", tol=tol)
-        p = reverse_rows(system.map_scalars(float))
+        p = lifted(system, "float")
         lu = factor(p)
         assert (_float_bytes(report.factors, report.z)
                 == _float_bytes(lu, forward_sweep(p, lu)))
@@ -127,7 +112,7 @@ def test_float_report_factors_are_bit_identical(ex31, app1, tol):
 def test_symbolic_report_factors_match_the_recurrences(ex31, ex32, app2):
     for system in (ex31, ex32, app2):
         report = solve_symbolic(system)
-        p = reverse_rows(system.map_scalars(Fraction))
+        p = lifted(system, "exact")
         lu = factor_symbolic(p)
         assert report.factors == lu
         assert report.z == forward_sweep(p, lu)

@@ -7,36 +7,38 @@ zero first, wherever it is, and factor with tol must stop at a pivot
 forced below it.
 
 Float solve runs its own single pass over the unlifted bands, and exact
-solve the Z[x] band kernel; each must give what factor, forward_sweep,
-back_substitute and determinant give on the lifted system: the same bits
-in float, equal values in exact mode and the same ZeroPivot index.
+solve the Z[x] band kernel; each must give answers.reference, the
+recurrences' answer on the lifted system: the same bits in float, equal
+values in exact mode and the same ZeroPivot. A tol equal to |beta_i| must
+not stop the float pass at beta_i: the test is strict.
 """
 
 import math
-from array import array
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from backpenta import (GeneratorConfig, RationalFunction, ZeroPivot,
-                       back_substitute, determinant, factor, factor_symbolic,
-                       force_interior_zero_pivot, forward_sweep, generate,
-                       new_system, reverse_rows, solve)
+from answers import lifted, reference, solved
+from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
+                       force_interior_zero_pivot, generate, new_system, solve)
 
 SIZES = range(5, 13)
 SEEDS_PER_SIZE = 6
 KINDS = {"1", "2", "interior", "n-1", "n"}  # where a zero pivot is forced
 
 
-def _run(factor_fn, forward_fn, back_fn, p, **kwargs):
-    """(alpha, beta, gamma, replacements, z, x), or the ZeroPivot index."""
+def _pivots(system, mode="float", tol=None):
+    """factor's pivots beta_1..beta_n, or the index where it raises
+    ZeroPivot."""
     try:
-        lu = factor_fn(p, **kwargs)
+        return factor(lifted(system, mode), tol=tol).beta
     except ZeroPivot as exc:
         return exc.index
-    z = forward_fn(p, lu)
-    return lu.alpha, lu.beta, lu.gamma, lu.replacements, z, back_fn(p, lu, z)
+
+
+def _stop(i):
+    return ZeroPivot, str(ZeroPivot(i))
 
 
 def _add_to_pivot(system, i, value):
@@ -64,8 +66,7 @@ def _cases(sizes=SIZES, seeds_per_size=SEEDS_PER_SIZE):
                                             entry_range=1 + k % 9,
                                             known_solution=k % 2 == 0))
             yield n, None, base
-            if isinstance(_run(factor, forward_sweep, back_substitute,
-                               _exact(base)), int):
+            if isinstance(_pivots(base, "exact"), int):
                 continue  # already stops at a zero pivot
             for i in (1, 2, 2 + k % (n - 3), n - 1, n):
                 yield n, i, _zeroed(base, i)
@@ -75,21 +76,12 @@ def _kind(n, i):
     return {1: "1", 2: "2", n - 1: "n-1", n: "n"}.get(i, "interior")
 
 
-def _exact(system):
-    return reverse_rows(system.map_scalars(Fraction))
-
-
-def _float(system):
-    return reverse_rows(system.map_scalars(float))
-
-
 def test_factor_symbolic_replaces_the_forced_pivot_first():
     replaced = set()
     for n, target, system in _cases():
         if target is None:
             continue
-        p = reverse_rows(system.map_scalars(
-            lambda v: RationalFunction.constant(Fraction(v))))
+        p = lifted(system, "symbolic")
         assert factor_symbolic(p).replacements[0] == target, (n, target)
         replaced.add(_kind(n, target))
     assert replaced == KINDS
@@ -103,63 +95,54 @@ def test_tol_stops_at_a_tiny_pivot(where):
     for n, i, system in _cases():
         if i is None or _kind(n, i) != where:
             continue
-        if _run(factor, forward_sweep, back_substitute, _float(system),
-                tol=1e-6) < i:
+        if _pivots(system, tol=1e-6) < i:
             continue  # a pivot before beta_i is already below tol
-        p = _float(_add_to_pivot(system, i, Fraction(1, 10 ** 9)))
-        assert _run(factor, forward_sweep, back_substitute, p,
-                    tol=1e-6) == i, (n, i)
+        tiny = _add_to_pivot(system, i, Fraction(1, 10 ** 9))
+        assert _pivots(tiny, tol=1e-6) == i, (n, i)
         stops += 1
     assert stops >= len(SIZES)
 
 
-def _values(mode, x, det):
-    if mode == "float":
-        return array("d", x).tobytes(), repr(det)
-    return x, det
-
-
-def _pipeline(system, mode, tol=None):
-    """(x, det) from the public LU functions, or the ZeroPivot index."""
-    p = _float(system) if mode == "float" else _exact(system)
-    try:
-        lu = factor(p, tol=tol)
-    except ZeroPivot as exc:
-        return exc.index
-    return _values(mode, back_substitute(p, lu, forward_sweep(p, lu)),
-                   determinant(lu))
-
-
-def _solved(system, mode, tol=None):
-    try:
-        report = solve(system, mode=mode, tol=tol)
-    except ZeroPivot as exc:
-        return exc.index
-    return _values(mode, report.x, report.det)
+def _record_low(beta):
+    """(i, |beta_i|) for the first interior pivot (3 <= i <= n-1) below
+    every earlier one in magnitude, or None: tol = |beta_i| reaches the
+    float pass's in-loop test at beta_i, and must not stop there."""
+    mags = list(map(abs, beta))
+    return next(((i, mags[i - 1]) for i in range(3, len(beta))
+                 if mags[i - 1] < min(mags[:i - 1])), None)
 
 
 def test_solve_matches_the_lu_functions():
     # n = 5..40, each system also with every entry divided by 7 (Fraction
     # entries that are not integers; a zero pivot stays zero); in float
-    # mode with tol None, 0 and the median |beta|, which trips midway
-    outcomes = set()
-    for n, target, system in _cases(range(5, 41), 3):
+    # mode with tol None, 0, the median |beta|, which trips midway, and
+    # _record_low's |beta_i|, which must not trip at beta_i
+    sizes = range(5, 41)
+    outcomes, strict = set(), 0
+    for n, target, system in _cases(sizes, 3):
         for s in (system, system.map_scalars(lambda v: Fraction(v) / 7)):
-            got = _solved(s, "exact")
-            assert got == _pipeline(s, "exact"), (n, target)
+            got = solved(s, "exact")
+            assert got == reference(s, "exact"), (n, target)
             if target is not None:
-                assert got == target
+                assert got == _stop(target)
                 outcomes.add(_kind(n, target))
-            tols = [None, 0.0]
-            lu = _run(factor, forward_sweep, back_substitute, _float(s))
-            if not isinstance(lu, int):
-                tols.append(sorted(map(abs, lu[1]))[n // 2])
+            tols, record = [None, 0.0], None
+            beta = _pivots(s)
+            if not isinstance(beta, int):
+                tols.append(sorted(map(abs, beta))[n // 2])
+                record = _record_low(beta)
+                if record:
+                    tols.append(record[1])
+                    strict += 1
             for tol in tols:
-                got = _solved(s, "float", tol)
-                assert got == _pipeline(s, "float", tol), (n, target, tol)
-                if tol and isinstance(got, int):
+                got = solved(s, "float", tol)
+                assert got == reference(s, "float", tol), (n, target, tol)
+                if tol and got[0] is ZeroPivot:
                     outcomes.add("tol")
+                if record and tol == record[1]:
+                    assert got != _stop(record[0]), (n, target, tol)
     assert outcomes == KINDS | {"tol"}
+    assert strict >= len(sizes)
 
 
 def test_float_solve_that_overflows_returns_as_the_lu_functions_do():
@@ -172,4 +155,4 @@ def test_float_solve_that_overflows_returns_as_the_lu_functions_do():
     system = new_system(*bands, [v * 1e200 for v in ex31.y])
     report = solve(system, mode="float")
     assert not all(map(math.isfinite, report.x))
-    assert _solved(system, "float") == _pipeline(system, "float")
+    assert solved(system, "float") == reference(system, "float")

@@ -1,35 +1,25 @@
 """Differential fuzz test of solve_symbolic's division-free Z[x] kernel.
 
-solve_symbolic must agree exactly with the generic recurrences over Q(x)
-(factor_symbolic -> forward_sweep -> back_substitute, then eval_at_zero
-and determinant), including the exception it raises. Independently of
-both, its pre-substitution solution x_presub(t) must agree with the dense
-oracle on the system whose replaced pivots get t added to their diagonal
-entries.
+solve_symbolic must agree exactly with answers.reference, the generic
+recurrences over Q(x) (factor_symbolic -> forward_sweep ->
+back_substitute, then eval_at_zero and determinant), including the
+exception it raises and its message. Independently of both, its
+pre-substitution solution x_presub(t) must agree with the dense oracle on
+the system whose replaced pivots get t added to their diagonal entries;
+where that system is singular but consistent, A x(t) = y is checked with
+the banded product.
 """
 
-from fractions import Fraction
-
 import backpenta.solver as solver
-from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
-                       RationalFunction, Singular, SplitMix64,
-                       back_substitute, dense_solve, densify, determinant,
-                       factor_symbolic, force_interior_zero_pivot,
-                       forward_sweep, generate, new_system, reverse_rows,
-                       solve_symbolic)
+from answers import divided, reference, solved
+from backpenta import (GeneratorConfig, RationalFunction, Singular,
+                       dense_solve, densify, force_interior_zero_pivot,
+                       generate, new_system, solve_symbolic)
+from backpenta.systems import band_product
 
 SYSTEMS_PER_FAMILY = 75
 SAMPLE_POINTS = (1, 2, -3)
 FAMILIES = ("range1", "d_n", "interior", "fractions")
-
-
-def _with_fractions(system, seed):
-    # Divide every entry by a small random integer, so rows need a common
-    # multiplier > 1 to become integer.
-    rng = SplitMix64(seed)
-    return new_system(*([Fraction(v, 1 + rng.next_u64() % 4) for v in band]
-                        for band in (system.a_tilde, system.a, system.d,
-                                     system.b, system.b_tilde, system.y)))
 
 
 def _system(family, k):
@@ -52,41 +42,14 @@ def _system(family, k):
     base = generate(GeneratorConfig(seed=seed, n=n, entry_range=1,
                                     force_zero_pivots=zeros,
                                     known_solution=k % 3 != 0))
-    return _with_fractions(base, seed)
+    return divided(base, seed, 4)
 
 
-def _outcome(fn, system):
-    try:
-        return fn(system)
-    except PoleAtZero as exc:  # IdenticallySingular included
-        return type(exc)
-
-
-def _reference(system):
-    lifted = system.map_scalars(
-        lambda v: RationalFunction.constant(Fraction(v)))
-    p = reverse_rows(lifted)
-    lu = factor_symbolic(p)
-    x_presub = back_substitute(p, lu, forward_sweep(p, lu))
-    try:
-        x = tuple(v.eval_at_zero() for v in x_presub)
-    except PoleAtZero:
-        if system.n in lu.replacements:
-            raise IdenticallySingular() from None
-        raise
-    return x, determinant(lu), lu.replacements, x_presub
-
-
-def _fields(report):
-    return (report.x, report.det, report.pivot_replacements,
-            report.x_presub)
-
-
-def _check_against_oracle(system, report):
+def _check_against_oracle(system, replaced, x_presub):
     n = system.n
     for t in SAMPLE_POINTS:
         d = list(system.d)
-        for k in report.pivot_replacements:
+        for k in replaced:
             d[n - k] += t  # beta_k's diagonal entry A1[k][k] is d_(n-k+1)
         shifted = new_system(system.a_tilde, system.a, d, system.b,
                              system.b_tilde, system.y)
@@ -95,14 +58,13 @@ def _check_against_oracle(system, report):
         except Singular:
             want = None
         try:
-            got = tuple(f.evaluate(t) for f in report.x_presub)
+            got = tuple(f.evaluate(t) for f in x_presub)
         except ZeroDivisionError:
             assert want is None, f"pole at t={t} but the oracle solved it"
             continue
         if want is None:
             # singular but consistent at t: x(t) must still solve it
-            assert all(sum(c * v for c, v in zip(row, got)) == yi
-                       for row, yi in zip(densify(shifted), shifted.y))
+            assert band_product(shifted, got) == shifted.y
         else:
             assert got == want, f"x_presub({t}) differs from the oracle"
 
@@ -112,15 +74,14 @@ def test_kernel_matches_generic_path_and_oracle():
     for family in FAMILIES:
         for k in range(SYSTEMS_PER_FAMILY):
             system = _system(family, k)
-            got = _outcome(solve_symbolic, system)
-            want = _outcome(_reference, system)
-            if isinstance(got, type):
-                assert got is want, f"{family} case {k}"
-                outcomes[family].add(got.__name__)
+            got = solved(system, "symbolic")
+            assert got == reference(system, "symbolic"), f"{family} case {k}"
+            if isinstance(got[0], type):
+                outcomes[family].add(got[0].__name__)
                 continue
-            assert _fields(got) == want, f"{family} case {k}"
-            outcomes[family].add(f"{len(got.pivot_replacements)} replaced")
-            _check_against_oracle(system, got)
+            _, _, replaced, x_presub = got
+            outcomes[family].add(f"{len(replaced)} replaced")
+            _check_against_oracle(system, replaced, x_presub)
     # every family exercises the rescue, and the fuzz reaches both poles
     assert all(kinds - {"0 replaced"} for kinds in outcomes.values())
     seen = set().union(*outcomes.values())
