@@ -10,9 +10,10 @@ from .systems import (BackwardPentaSystem, LengthMismatch, PentaSystem,
                       reverse_rows)
 from .solver import (IdenticallySingular, LUFactors, SolveReport, ZeroPivot,
                      back_substitute, det_original, determinant, factor,
-                     factor_symbolic, forward_sweep, solve, solve_symbolic)
+                     factor_symbolic, force_interior_zero_pivot,
+                     forward_sweep, solve, solve_symbolic)
 from .oracle import (GeneratorConfig, Singular, SplitMix64, dense_det,
-                     dense_solve, force_interior_zero_pivot, generate)
+                     dense_solve, generate)
 
 __all__ = [
     "BackwardPentaSystem", "PentaSystem", "LUFactors", "SolveReport",

@@ -135,8 +135,7 @@ def read_system(path: str) -> BackwardPentaSystem:
 
 def _read(path: str) -> BackwardPentaSystem:
     system = read_system(path)  # parsed under the caller's digit limit
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
-        sys.set_int_max_str_digits(0)  # exact values print in full
+    sys.set_int_max_str_digits(0)  # exact values print in full
     return system
 
 
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digit_limit = sys.get_int_max_str_digits()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -288,9 +287,8 @@ def main(argv=None) -> int:
     except PoleAtZero as exc:
         print(f"singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    finally:  # undo _read's lift; 0 (no limit) needs no undoing
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
+    finally:  # undo _read's lift
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def entry():

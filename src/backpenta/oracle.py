@@ -9,22 +9,16 @@ The generator's PRNG is splitmix64, fixed so the same seed produces the
 same system on every platform. Entries in [-m, m] are drawn as
 ``next_u64() % (2m+1) - m`` (modulo bias is negligible for the tiny
 ranges used here and keeps the mapping trivially portable).
-
-force_interior_zero_pivot builds systems whose pivot beta_i is exactly
-zero, from the leading minors D_k that solver._band_minors, the
-division-free Z[x] kernel of every exact solve, gives for the first i rows:
-integer arithmetic, with no rational-function arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .solver import _a1_rows, _band_minors, _lift, _slot_bits, _unpack
+from .solver import force_interior_zero_pivot  # perfbench imports it from here
 from .systems import BANDS, BackwardPentaSystem, band_product, new_system
 
 _MASK64 = (1 << 64) - 1
@@ -181,37 +175,3 @@ def generate(config: GeneratorConfig) -> BackwardPentaSystem:
          if config.known_solution else draw(n))
     return new_system(**bands, y=y)
 
-
-def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
-    """Adjust one anti-diagonal entry so pivot beta_i becomes exactly zero.
-
-    beta_i depends on d_(n-i+1) only through an additive term, and the
-    pivots before i do not read that entry, so shifting it by -beta_i
-    zeroes the pivot without disturbing beta_1..beta_(i-1). Returns the
-    modified system, with Fraction entries, or None when beta_i is not a
-    constant (an earlier pivot was already zero, so the system already
-    exercises the rescue path). Raises ValueError, naming the entry, for
-    one that is NaN or infinite as a float.
-
-    beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
-    xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of
-    solver._band_minors on the first i rows that _a1_rows yields, so only
-    those i rows are built. The y column they carry goes unread.
-    """
-    n = system.n
-    if not 2 <= i <= n:
-        raise ValueError("interior pivot index must be in 2..n")
-    p = _lift(system, "exact")  # all of it: a NaN anywhere is named
-    rows = list(itertools.islice(_a1_rows(p), i))
-    bits = _slot_bits(rows)
-    _, minors, scales = _band_minors(rows, bits)
-    # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
-    # exactly when D_i is a constant multiple of D_(i-1)
-    di = _unpack(minors[i - 1][0], bits)
-    dp = _unpack(minors[i - 2][0], bits)
-    if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
-                                 for u, v in zip(di, dp)):
-        return None
-    d = list(p.d)
-    d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
-    return replace(p, d=d)

@@ -18,6 +18,8 @@ recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1], which
 _a1_rows reads in place from the backward system. Exact solve stops at
 its first zero pivot; solve_symbolic replaces each by x, and evaluates
 the finished solution and determinant at placeholder = 0.
+force_interior_zero_pivot reads the same leading minors to zero a chosen
+pivot in test systems; no other module decodes the packed minors.
 
 All pivot/band indices in errors and reports are 1-based, matching the
 conventional subscripts (beta_1 .. beta_n).
@@ -26,8 +28,9 @@ conventional subscripts (beta_1 .. beta_n).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -228,8 +231,7 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     # and then the lift names nothing
     if not math.isfinite(sum(beta) + sum(x)):
         _lift(system, "float")
-    return SolveReport(x=x, det=math.prod(beta[1:], start=beta[0]),
-                       mode=mode, _system=system)
+    return SolveReport(x=x, det=math.prod(beta), mode=mode, _system=system)
 
 
 def _streamed_solve(system: BackwardPentaSystem, tol):
@@ -273,7 +275,7 @@ def _streamed_solve(system: BackwardPentaSystem, tol):
         al = bi - g * bti1
         s = di - mult * bti - alpha1 * g
         if not s or (tol is not None and abs(s) < tol):
-            checked(len(beta) + 1, s)
+            raise ZeroPivot(len(beta) + 1)
         z2, z1 = z1, yi - mult * z2 - g * z1
         alpha2, alpha1, beta2, beta1, bti = alpha1, al, beta1, s, bti1
         alpha.append(al)
@@ -471,6 +473,41 @@ def _band_minors(rows, bits: Optional[int] = None):
         minors.append((m2m1, m2z, m2p, m2y))
         scales.append(scale)
     return tuple(replaced), minors, scales
+
+
+def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
+    """Adjust one anti-diagonal entry so pivot beta_i becomes exactly zero.
+
+    beta_i depends on d_(n-i+1) only through an additive term, and the
+    pivots before i do not read that entry, so shifting it by -beta_i
+    zeroes the pivot without disturbing beta_1..beta_(i-1). Returns the
+    modified system, with Fraction entries, or None when beta_i is not a
+    constant (an earlier pivot was already zero, so the system already
+    exercises the rescue path). Raises ValueError, naming the entry, for
+    one that is NaN or infinite as a float.
+
+    beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
+    xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of
+    _band_minors on the first i rows that _a1_rows yields, so only those
+    i rows are built. Their y column goes unread; no Q(x) arithmetic runs.
+    """
+    n = system.n
+    if not 2 <= i <= n:
+        raise ValueError("interior pivot index must be in 2..n")
+    p = _lift(system, "exact")  # all of it: a NaN anywhere is named
+    rows = list(itertools.islice(_a1_rows(p), i))
+    bits = _slot_bits(rows)
+    _, minors, scales = _band_minors(rows, bits)
+    # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
+    # exactly when D_i is a constant multiple of D_(i-1)
+    di = _unpack(minors[i - 1][0], bits)
+    dp = _unpack(minors[i - 2][0], bits)
+    if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
+                                 for u, v in zip(di, dp)):
+        return None
+    d = list(p.d)
+    d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
+    return replace(p, d=d)
 
 
 def _numerators(minors: list) -> list:

@@ -84,10 +84,12 @@ class PentaSystem(_BandedSystem):
 new_system = BackwardPentaSystem  # the validated constructor
 
 
-def reverse_rows(system: BackwardPentaSystem) -> PentaSystem:
-    """Reverse the equation order, turning AX=Y into pentadiagonal A1 X = Y1."""
-    return PentaSystem(system.a_tilde, system.a, system.d, system.b,
-                       system.b_tilde, tuple(reversed(system.y)))
+def reverse_rows(system: _BandedSystem) -> _BandedSystem:
+    """Reverse the equation order, turning AX=Y into pentadiagonal A1 X = Y1
+    and A1 X = Y1 back into the AX=Y it came from."""
+    cls = BackwardPentaSystem if isinstance(system, PentaSystem) else PentaSystem
+    return cls(system.a_tilde, system.a, system.d, system.b, system.b_tilde,
+               tuple(reversed(system.y)))
 
 
 def laplacian_system(n: int, y) -> BackwardPentaSystem:
@@ -97,8 +99,9 @@ def laplacian_system(n: int, y) -> BackwardPentaSystem:
         *((1 if k else -4,) * (n - abs(k)) for _, k in BANDS), y)
 
 
-def band_product(system: BackwardPentaSystem, v) -> tuple:
-    """A v in O(n), exact over int and Fraction."""
+def band_product(system: _BandedSystem, v) -> tuple:
+    """A v in O(n), exact over int and Fraction; A1 v, the rows reversed,
+    for a PentaSystem."""
     n = system.n
     out = [0] * n
     for field, k in BANDS:  # entry j sits at (row0 + j, col0 - j)
@@ -106,7 +109,7 @@ def band_product(system: BackwardPentaSystem, v) -> tuple:
         col0 = n - 1 - row0 + k
         for j, c in enumerate(getattr(system, field)):
             out[row0 + j] += c * v[col0 - j]
-    return tuple(out)
+    return tuple(out[::-1] if isinstance(system, PentaSystem) else out)
 
 
 def densify(system) -> list:

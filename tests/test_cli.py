@@ -578,15 +578,13 @@ class TestSolveCommand:
 @contextlib.contextmanager
 def _digit_limit_lifted():
     # values of any length print in full, and the caller's digit limit is
-    # back afterwards (Python 3.10.0-3.10.6 has no limit and no setter)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # back afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def _full_str(value):
@@ -663,9 +661,9 @@ class TestLongValues:
 
     @pytest.mark.parametrize("mode", ["exact", "symbolic"])
     def test_solve_prints_every_digit(self, big_path, mode, capsys):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = sys.get_int_max_str_digits()
         assert main(["solve", big_path, "--mode", mode, "--det"]) == 0
-        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        assert sys.get_int_max_str_digits() == limit
         report = solve(read_system(big_path))
         captured = capsys.readouterr()
         assert captured.out.splitlines() == [
@@ -689,8 +687,6 @@ class TestLongValues:
         assert capsys.readouterr().err == (
             "singular: beta[5] is identically zero; no finite solution\n")
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                        reason="this Python has no integer-string limit")
     def test_literal_beyond_the_digit_limit(self, tmp_path, capsys):
         p = tmp_path / "long.txt"
         for digits in (4301, 4401):  # one past the limit, and far past it
@@ -710,13 +706,6 @@ class TestLongValues:
         assert main(["solve", str(p), "--mode", "float"]) == 1
         assert capsys.readouterr() == (
             "", "error: vector d: entry d_5 is beyond the float range\n")
-
-    def test_python_without_the_digit_limit(self, ex31_path, monkeypatch,
-                                            capsys):
-        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-        assert main(["solve", ex31_path, "--det"]) == 0
-        assert capsys.readouterr().out.endswith("det(A1) = 160\n")
 
 
 class TestCheckCommand:

@@ -9,7 +9,7 @@ from backpenta import (GeneratorConfig, RationalFunction, Singular,
                        SplitMix64, densify, dense_det, dense_solve,
                        force_interior_zero_pivot, generate, laplacian_system,
                        new_system, reverse_rows, solve)
-from backpenta import solver
+from backpenta import oracle, solver
 from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
 
@@ -36,6 +36,13 @@ class TestDenseSolve:
 
     def test_known_system(self, ex31):
         assert dense_solve(densify(ex31), ex31.y) == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_rhs_of_the_wrong_length_rejected(self, size):
+        ident = [[int(i == j) for j in range(5)] for i in range(5)]
+        with pytest.raises(ValueError,
+                           match="^rhs length must match matrix size$"):
+            dense_solve(ident, [1] * size)
 
     def test_equal_rows_singular(self):
         m = [[1, 2, 3], [1, 2, 3], [0, 1, 1]]
@@ -94,6 +101,10 @@ class TestGenerator:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             GeneratorConfig(seed=0, n=4)
+
+    def test_rejects_empty_entry_range(self):
+        with pytest.raises(ValueError, match="^entry_range must be >= 1$"):
+            GeneratorConfig(seed=0, n=8, entry_range=0)
 
     def test_known_solution_solves(self):
         s = generate(GeneratorConfig(seed=9, n=12))
@@ -194,6 +205,16 @@ class TestForcedInteriorPivot:
             pytest.skip("earlier pivot already zero for this seed")
         lu = factor_symbolic(reverse_rows(forced))
         assert i in lu.replacements
+
+    def test_oracle_keeps_the_name(self):
+        assert oracle.force_interior_zero_pivot is force_interior_zero_pivot
+
+    @pytest.mark.parametrize("i", [1, 10])
+    def test_rejects_index_outside_2_to_n(self, i):
+        base = generate(GeneratorConfig(seed=21, n=9))
+        with pytest.raises(ValueError, match=r"^interior pivot index must "
+                           r"be in 2\.\.n$"):
+            force_interior_zero_pivot(base, i)
 
 
 def _force_factor_symbolic(system):

@@ -52,6 +52,17 @@ class TestPolynomial:
     def test_eval(self):
         assert P(-11, 9).evaluate(Fraction(1, 3)) == -8
 
+    def test_zero_polynomial(self):
+        zero = Polynomial()
+        with pytest.raises(ValueError, match="^zero polynomial has no "
+                           "leading coefficient$"):
+            zero.leading
+        assert zero.monic() == zero
+        assert not zero and P(0, 1)
+        assert str(zero) == "0"
+        with pytest.raises(DivisionByZero):
+            divmod(P(1, 2), zero)
+
 
 class TestPolyGcd:
     def test_common_factor(self):
@@ -145,8 +156,10 @@ class TestRationalFunction:
                 sv = (f + g).evaluate(t)
                 dv = (f - g).evaluate(t)
                 pv = (f * g).evaluate(t)
+                nv = (-f).evaluate(t)
             except ZeroDivisionError:
                 continue
+            assert nv == -fv
             assert sv == fv + gv
             assert dv == fv - gv
             assert pv == fv * gv

@@ -59,6 +59,13 @@ def test_equal_values_hash_equal(cls):
     assert len({s, t}) == 1
 
 
+@pytest.mark.parametrize("cls", [BackwardPentaSystem, PentaSystem])
+def test_reverse_rows_twice_is_the_same_system(cls):
+    s = cls(*BANDS, [10, 26, 20, 14, 4])
+    again = reverse_rows(reverse_rows(s))
+    assert type(again) is cls and again == s
+
+
 def test_y1_is_y_reversed():
     y = [10, 26, 20, 14, 4]
     assert reverse_rows(new_system(*BANDS, y)).y1 == tuple(reversed(y))

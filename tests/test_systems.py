@@ -129,7 +129,8 @@ def test_densify_matches_if_chain(n):
 def test_band_product_matches_dense_row_sums(n):
     rng = SplitMix64(n)
     s = generate(GeneratorConfig(seed=n, n=n))
-    for system in (s, s.map_scalars(lambda v: Fraction(v, 7))):
+    for system in (s, s.map_scalars(lambda v: Fraction(v, 7)),
+                   reverse_rows(s)):
         dense = densify(system)
         for v in ([rng.uniform_int(9) for _ in range(n)],
                   [Fraction(rng.uniform_int(9), 1 + rng.uniform_int(4) ** 2)
