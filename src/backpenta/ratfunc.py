@@ -5,7 +5,9 @@ The solver's symbolic mode replaces zero pivots by a single placeholder
 symbol ``x``; every downstream quantity then lives in the field Q(x) of
 rational functions with exact rational coefficients. This module supplies
 that field in a canonical form (coprime numerator/denominator, monic
-denominator) so equality is structural.
+denominator) so equality is structural. The form comes from poly_gcd,
+whose Euclidean loop stops at the first nonzero constant remainder (the
+gcd is then 1).
 
 Plain rationals are ``fractions.Fraction`` throughout; it already provides
 the reduced p/q invariant with a positive denominator.
@@ -188,10 +190,16 @@ class Polynomial:
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over Q."""
+    """Monic gcd by the Euclidean algorithm over Q.
+
+    The loop stops at the first nonzero constant remainder: a constant is
+    a unit of Q[x], so the gcd is 1 without one more division.
+    """
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     while not q.is_zero:
+        if q.degree == 0:
+            return Polynomial.constant(1)
         p, q = q, p % q
     return p.monic()
 
@@ -317,6 +325,9 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant hashes as the int or Fraction it equals
+        if self.num.degree < 1 and self.den.degree == 0:
+            return hash(self.num.coeffs[0] if self.num.coeffs else 0)
         return hash((self.num, self.den))
 
     def _integer_scaled(self):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from backpenta import (BothZero, DivisionByZero, PoleAtZero, Polynomial,
-                       RationalFunction, from_literal, poly_gcd)
+                       RationalFunction, from_literal, poly_gcd,
+                       solve_symbolic)
 
 X = Polynomial.x()
 
@@ -12,6 +13,14 @@ X = Polynomial.x()
 def P(*coeffs):
     """Polynomial from ascending coefficients."""
     return Polynomial(coeffs)
+
+
+def reference_gcd(p, q):
+    """The plain Euclidean loop: divide until the remainder is zero, then
+    make the last divisor monic. poly_gcd stops earlier and must agree."""
+    while not q.is_zero:
+        p, q = q, p % q
+    return p.monic()
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -89,6 +98,44 @@ class TestPolyGcd:
         g = poly_gcd(left, right)
         # gcd contains the planted factor (it may pick up shared random ones)
         assert (g % planted.monic()).is_zero
+
+    @given(polys, polys, polys)
+    @example(Polynomial(), P(3), P(1))
+    @example(P(5), Polynomial(), P(0, 1))
+    @example(P(2), P(0, 1), P(1, 1))
+    @example(P(0, 1), P(4), Polynomial())
+    def test_matches_the_plain_euclidean_loop(self, p, q, common):
+        # pairs as drawn (zero and constant ones included) and with a
+        # planted common factor
+        for a, b in ((p, q), (p * common, q * common)):
+            if a.is_zero and b.is_zero:
+                with pytest.raises(BothZero):
+                    poly_gcd(a, b)
+                continue
+            g = reference_gcd(a, b)
+            assert poly_gcd(a, b) == g
+            if b.is_zero:
+                continue
+            f = RationalFunction(a, b)
+            if a.is_zero:
+                assert (f.num, f.den) == (Polynomial(), P(1))
+                continue
+            lead = (b // g).leading
+            assert f.num == (a // g).scale(1 / lead)
+            assert f.den == (b // g).scale(1 / lead)
+
+    def test_constant_remainder_ends_the_loop(self, monkeypatch):
+        divisions = []
+        plain = Polynomial.__divmod__
+
+        def counted(self, other):
+            divisions.append((self, other))
+            return plain(self, other)
+
+        monkeypatch.setattr(Polynomial, "__divmod__", counted)
+        # (2x + 1) mod (x + 3) = -5, a unit: the gcd is 1 after one division
+        assert poly_gcd(P(1, 2), P(3, 1)) == P(1)
+        assert divisions == [(P(1, 2), P(3, 1))]
 
 
 class TestRationalFunction:
@@ -173,7 +220,24 @@ class TestRationalFunction:
     def test_canonical_invariants(self, f):
         assert f.den.leading == 1
         if not f.is_zero:
-            assert poly_gcd(f.num, f.den).degree == 0
+            assert reference_gcd(f.num, f.den).degree == 0
+
+    @pytest.mark.parametrize("c", [0, 2, -7, Fraction(3, 4), Fraction(-5, 2),
+                                   Fraction(0), Fraction(6, 3)], ids=repr)
+    def test_constant_hashes_as_its_value(self, c):
+        f = RationalFunction.constant(c)
+        assert f == c and hash(f) == hash(c)
+        assert len({f, c}) == 1 and c in {f} and f in {c}
+
+    def test_reports_stay_hashable_and_equal(self, ex31, ex32):
+        for system in (ex31, ex32):
+            report, again = solve_symbolic(system), solve_symbolic(system)
+            assert report == again and len({report, again}) == 1
+        # ex31 replaces no pivot: each x_presub component is the constant
+        # x_k, so the two tuples are equal and must hash alike
+        exact = solve_symbolic(ex31)
+        assert exact.x_presub == exact.x
+        assert hash(exact.x_presub) == hash(exact.x)
 
     @given(ratfuncs)
     def test_eval_at_zero_consistent(self, f):
