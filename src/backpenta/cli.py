@@ -32,7 +32,8 @@ consistent singular system exits 0 from solve --mode symbolic, printing its
 x -> 0 limit (det(A1) = 0 under --det), and 3 from check.
 
 solve writes x (and the det line) in one write, once every value is
-formatted.
+formatted. main lifts Python's process-wide integer-string digit limit
+while it runs (_read), so two threads must not run it at once.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Exact arithmetic kernel: rationals, univariate polynomials, and
 rational functions in one indeterminate.
 
-The solver's symbolic mode replaces zero pivots by a single placeholder
-symbol ``x``; every downstream quantity then lives in the field Q(x) of
-rational functions with exact rational coefficients. This module supplies
-that field in a canonical form (coprime numerator/denominator, monic
-denominator) so equality is structural. The form comes from poly_gcd,
-whose Euclidean loop stops at the first nonzero constant remainder (the
-gcd is then 1).
+The paper's symbolic algorithm replaces zero pivots by a placeholder ``x``
+and runs the LU recurrences over Q(x), the rational functions with rational
+coefficients; solve_symbolic runs the division-free Z[x] kernel instead.
+Q(x) holds the reference recurrences, a symbolic report's factors and z,
+and the canonical x_presub, in a canonical form (coprime numerator and
+denominator, monic denominator) so equality is structural. poly_gcd's
+Euclidean loop stops at the first nonzero constant remainder (gcd 1).
 
 Plain rationals are ``fractions.Fraction`` throughout; it already provides
 the reduced p/q invariant with a positive denominator.
@@ -92,10 +92,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return Polynomial(c / lead for c in self.coeffs)
+        return self if self.is_zero else self.scale(1 / self.leading)
 
     def evaluate(self, t) -> Fraction:
         t = Fraction(t)
@@ -204,6 +201,21 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return p.monic()
 
 
+def _operators(op):
+    """The forward and reflected operator of op(a, b) on two rational
+    functions, as the fractions module builds its own: an int or Fraction
+    operand is lifted to a constant, any other type gives NotImplemented."""
+    def forward(a, b):
+        b = RationalFunction._coerce(b)
+        return b if b is NotImplemented else op(a, b)
+
+    def reflected(b, a):
+        a = RationalFunction._coerce(a)
+        return a if a is NotImplemented else op(a, b)
+
+    return forward, reflected
+
+
 class RationalFunction:
     """Quotient of two polynomials in canonical form.
 
@@ -258,52 +270,27 @@ class RationalFunction:
             return RationalFunction.constant(other)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+    def _add(a, b):
+        return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
 
-    __radd__ = __add__
+    def _sub(a, b):
+        return RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den)
+
+    def _mul(a, b):
+        return RationalFunction(a.num * b.num, a.den * b.den)
+
+    def _truediv(a, b):
+        if b.is_zero:
+            raise DivisionByZero("division by identically zero rational function")
+        return RationalFunction(a.num * b.den, a.den * b.num)
+
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(_sub)
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(_truediv)
 
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RationalFunction(self.num * o.den - o.num * self.den,
-                                self.den * o.den)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.is_zero:
-            raise DivisionByZero("division by identically zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
 
     def eval_at_zero(self) -> Fraction:
         """Value at the placeholder = 0; the symbolic algorithm's final step."""

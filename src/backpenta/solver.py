@@ -333,7 +333,10 @@ def _lift(system: BackwardPentaSystem,
 
 def _not_finite(v) -> Optional[str]:
     # compares, never converts: an int beyond the float range is finite
-    return f"is {v}, not finite" if v != v or abs(v) == math.inf else None
+    try:
+        return f"is {v}, not finite" if v != v or abs(v) == math.inf else None
+    except TypeError:  # no abs (a str): the lift's own error stands
+        return None
 
 
 def _beyond_float_range(v) -> Optional[str]:
@@ -420,13 +423,9 @@ def _a1_rows(system: BackwardPentaSystem):
 def _slot_bits(rows: list) -> int:
     """Slot width for the packed minors of the (row, scale) pairs: one more
     than the bit length of the product of their absolute row sums plus
-    scales. The product runs over a pairwise tree, O(n log n) bit work
-    where a left-to-right product costs O(n^2)."""
-    terms = [sum(map(abs, row)) + scale for row, scale in rows]
-    while len(terms) > 1:
-        terms = [a * b for a, b in zip(terms[::2], terms[1::2])] + (
-            terms[-1:] if len(terms) % 2 else [])
-    return math.prod(terms).bit_length() + 1
+    scales."""
+    return math.prod(sum(map(abs, row)) + scale
+                     for row, scale in rows).bit_length() + 1
 
 
 def _band_minors(rows, bits: Optional[int] = None):

@@ -1,8 +1,8 @@
 """Gate for solver._band_minors, the division-free Z[x] kernel: every
 row's packed Bareiss values (D_k, u1, u2, c_k) of the scaled
 [A1 + xE | Y1] are checked against the dense oracle, and so are the
-leading minors of A1 itself, and the pairwise product of _slot_bits
-against a sequential one.
+leading minors of A1 itself, and _slot_bits against the product of its
+row bounds.
 """
 
 import math

@@ -17,12 +17,15 @@ what the rule below gives, result or exception (type and message):
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from answers import lifted, reference, solved
-from backpenta import GeneratorConfig, ZeroPivot, factor, generate, new_system
+from backpenta import (GeneratorConfig, ZeroPivot, factor,
+                       force_interior_zero_pivot, generate, new_system, solve,
+                       solve_symbolic)
 
 # (field, 1-based subscript of its first entry)
 VECTORS = (("a_tilde", 1), ("a", 1), ("d", 1), ("b", 2), ("b_tilde", 3),
@@ -94,3 +97,20 @@ def test_bad_entry_anywhere_gives_the_outcome_of_the_rule(label, base, tols):
                     kinds.add(got[0] if isinstance(got[0], type)
                               else "solved")
     assert {OverflowError, ValueError, ZeroPivot, "solved"} <= kinds
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda s: solve(s, mode="exact"), "Invalid literal for Fraction: 'abc'"),
+    (solve_symbolic, "Invalid literal for Fraction: 'abc'"),
+    (lambda s: force_interior_zero_pivot(s, 3),
+     "Invalid literal for Fraction: 'abc'"),
+    (lambda s: solve(s, mode="float"), "could not convert string to float: "
+     "'abc'"),
+], ids=["exact solve", "solve_symbolic", "force_interior_zero_pivot",
+        "float solve"])
+def test_a_non_number_entry_raises_its_own_lift_error(run, message):
+    # a str is neither named nor compared: the lift's ValueError stands
+    _, ex31, _ = BASES[0]
+    system = _with(ex31, "y", ex31.y[:4] + ("abc",))  # y_5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(system)

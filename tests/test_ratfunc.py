@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from backpenta import (BothZero, DivisionByZero, PoleAtZero, Polynomial,
                        solve_symbolic)
 
 X = Polynomial.x()
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 def P(*coeffs):
@@ -136,6 +138,43 @@ class TestPolyGcd:
         # (2x + 1) mod (x + 3) = -5, a unit: the gcd is 1 after one division
         assert poly_gcd(P(1, 2), P(3, 1)) == P(1)
         assert divisions == [(P(1, 2), P(3, 1))]
+
+
+class TestOperandRule:
+    """The operators take a RationalFunction, int or Fraction on either
+    side, an int or Fraction lifted to a constant, and no other type."""
+
+    @pytest.mark.parametrize("op", BINARY, ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("other", [1.5, "1", None], ids=repr)
+    def test_other_types_raise_type_error(self, op, other):
+        f = RationalFunction(X)
+        with pytest.raises(TypeError):
+            op(f, other)
+        with pytest.raises(TypeError):
+            op(other, f)
+
+    @pytest.mark.parametrize("other", [1.5, "1", None], ids=repr)
+    @pytest.mark.parametrize("value", [RationalFunction(X), X],
+                             ids=["RationalFunction", "Polynomial"])
+    def test_other_types_compare_unequal(self, value, other):
+        assert (value == other) is False and (other == value) is False
+        assert (value != other) is True and (other != value) is True
+
+    @pytest.mark.parametrize("op", BINARY, ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("c", [3, Fraction(-2, 5)], ids=repr)
+    def test_numbers_lift_to_constants_on_either_side(self, op, c):
+        k = RationalFunction.constant(c)
+        for f in (RationalFunction(X), RationalFunction(P(1, 2), P(-3, 0, 1))):
+            assert op(c, f) == op(k, f)
+            assert op(f, c) == op(f, k)
+
+    def test_division_by_zero_and_a_zero_numerator(self):
+        f, zero = RationalFunction(X), RationalFunction.constant(0)
+        for num, den in ((f, 0), (f, Fraction(0)), (f, zero), (1, zero)):
+            with pytest.raises(DivisionByZero, match="^division by "
+                               "identically zero rational function$"):
+                num / den
+        assert 0 / f == 0 and (0 / f).is_zero
 
 
 class TestRationalFunction:
