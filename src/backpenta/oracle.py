@@ -3,7 +3,8 @@
 The dense solver is deliberately unrelated to the banded recurrences: it
 clears denominators row by row and runs fraction-free (Bareiss) elimination
 with partial pivoting over plain integers, finishing with an exact
-back substitution. O(n^3) is accepted; it only ever sees test-sized n.
+back substitution: O(n^3) time and O(n^2) memory. backpenta check runs it
+on any file, and at n = 3000 it gave no result after 110 s of CPU.
 
 The generator's PRNG is splitmix64, fixed so the same seed produces the
 same system on every platform. Entries in [-m, m] are drawn as

@@ -15,7 +15,7 @@ entry as it reads it (_streamed_solve).
 
 Exact answers come from one division-free kernel, _band_minors: a transfer
 recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1], which
-_a1_rows reads in place from the backward system. Exact solve stops at
+_a1_rows builds from the backward system's VECTORS. Exact solve stops at
 its first zero pivot; solve_symbolic replaces each by x, and evaluates
 the finished solution and determinant at placeholder = 0.
 force_interior_zero_pivot reads the same leading minors to zero a chosen
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -398,9 +399,9 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
 def _a1_rows(system: BackwardPentaSystem):
     """Rows i of [A1 | Y1] in order, each scaled by the lcm of its
     denominators: pairs (row, scale) of the integer list [A1[i][i-2],
-    A1[i][i-1], A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based, zeros
-    off the band) and the scale, each built only when it is read. Row i
-    is entry n - 1 - i of each band and of y of the backward system.
+    A1[i][i-1], A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based) and the
+    scale, each built only when it is read. VECTORS padded with max(k, 0)
+    zeros in front and max(-k, 0) behind, zipped in reverse, give A1's rows.
 
     First rejects a system that is not backward, then reads int and
     Fraction entries as they are, else _lift's, which names a NaN or inf
@@ -409,13 +410,9 @@ def _a1_rows(system: BackwardPentaSystem):
     if not all(set(map(type, getattr(system, field))) <= {int, Fraction}
                for field, _ in VECTORS):
         system = _lift(system)
-    n = system.n
-    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
-                          system.b_tilde, system.y)
-    for i in range(n):
-        j = n - 1 - i  # band index of A1 row i
-        row = [at[j] if i >= 2 else 0, a[j] if i >= 1 else 0, d[j],
-               b[j - 1] if j >= 1 else 0, bt[j - 2] if j >= 2 else 0, y[j]]
+    padded = ((0,) * max(k, 0) + getattr(system, field) + (0,) * max(-k, 0)
+              for field, k in VECTORS)
+    for row in zip(*map(reversed, padded)):
         scale = math.lcm(*(v.denominator for v in row))
         yield [v.numerator * (scale // v.denominator) for v in row], scale
 
@@ -480,30 +477,29 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     beta_i depends on d_(n-i+1) only through an additive term, and the
     pivots before i do not read that entry, so shifting it by -beta_i
     zeroes the pivot without disturbing beta_1..beta_(i-1). Returns the
-    modified system, with Fraction entries, or None when beta_i is not a
-    constant (an earlier pivot was already zero, so the system already
-    exercises the rescue path). Raises ValueError, naming the entry, for
-    one that is NaN or infinite as a float.
+    modified system, lifted to Fraction once beta_i is known, or None when
+    beta_i is not a constant (an earlier pivot was already zero, so the
+    system already exercises the rescue path). Raises TypeError for an i
+    that is not an int, and what _a1_rows raises for the system.
 
     beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
     xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of
     _band_minors on the first i rows that _a1_rows yields, so only those
     i rows are built. Their y column goes unread; no Q(x) arithmetic runs.
     """
-    n = system.n
+    n, i = system.n, operator.index(i)
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
-    p = _lift(system, "exact")  # all of it: a NaN anywhere is named
-    rows = list(itertools.islice(_a1_rows(p), i))
+    rows = list(itertools.islice(_a1_rows(system), i))
     bits = _slot_bits(rows)
     _, minors, scales = _band_minors(rows, bits)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
     # exactly when D_i is a constant multiple of D_(i-1)
-    di = _unpack(minors[i - 1][0], bits)
-    dp = _unpack(minors[i - 2][0], bits)
+    dp, di = (_unpack(m[0], bits) for m in minors[i - 2:])
     if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
                                  for u, v in zip(di, dp)):
         return None
+    p = _lift(system)
     d = list(p.d)
     d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
     return replace(p, d=d)

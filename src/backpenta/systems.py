@@ -93,8 +93,9 @@ def reverse_rows(system: _BandedSystem) -> _BandedSystem:
 
 
 def laplacian_system(n: int, y) -> BackwardPentaSystem:
-    """Backward pentadiagonal form of the 2-D Laplacian stencil: -4 on the
-    anti-diagonal, 1 on the four adjacent bands."""
+    """The 5-point stencil's weights on five adjacent bands: -4 on the
+    anti-diagonal, 1 on the four beside it. It is not the 2-D Laplacian
+    matrix, whose outer bands sit m apart on an m x m grid."""
     return BackwardPentaSystem(
         *((1 if k else -4,) * (n - abs(k)) for _, k in BANDS), y)
 

@@ -1,4 +1,5 @@
-"""Gate for solver._band_minors, the division-free Z[x] kernel: every
+"""Gate for solver._band_minors, the division-free Z[x] kernel, and its
+row reader _a1_rows: every row is checked against densify, every
 row's packed Bareiss values (D_k, u1, u2, c_k) of the scaled
 [A1 + xE | Y1] are checked against the dense oracle, and so are the
 leading minors of A1 itself, and _slot_bits against the product of its
@@ -55,6 +56,13 @@ def test_leading_minors_match_dense_det():
         rows = [row for row, _ in pairs]
         assert len(minors) == n
         a1 = densify(reverse_rows(s))
+        # each row is [A1[i][i-2..i+2] (0 off the matrix), Y1[i]] times the
+        # lcm of its denominators
+        for i, ((row, scale), yi) in enumerate(zip(pairs, reverse_rows(s).y1)):
+            entries = [a1[i][j] if 0 <= j < n else 0
+                       for j in range(i - 2, i + 3)] + [yi]
+            assert scale == math.lcm(*(v.denominator for v in entries)), (s, i)
+            assert row == [scale * v for v in entries], (s, i)
         # the scaled integer [A1 | Y1] with scale * 2**bits added on each
         # replaced diagonal: its minors are the packed values themselves
         bumped = [[0] * n for _ in range(n)]

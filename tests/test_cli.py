@@ -1,4 +1,5 @@
 import contextlib
+import importlib.metadata
 import io
 import itertools
 import os
@@ -75,6 +76,15 @@ def app2_path(tmp_path):
     p = tmp_path / "app2.txt"
     p.write_text(APP2_FILE)
     return str(p)
+
+
+def test_installed_version_is_the_one_cli_prints():
+    # pyproject.toml reads the version from backpenta.__version__
+    try:
+        installed = importlib.metadata.version("backpenta")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("backpenta is not installed")
+    assert installed == backpenta.__version__
 
 
 class TestParsing:

@@ -209,11 +209,18 @@ class TestForcedInteriorPivot:
     def test_oracle_keeps_the_name(self):
         assert oracle.force_interior_zero_pivot is force_interior_zero_pivot
 
-    @pytest.mark.parametrize("i", [1, 10])
+    @pytest.mark.parametrize("i", [1, 10, True])
     def test_rejects_index_outside_2_to_n(self, i):
         base = generate(GeneratorConfig(seed=21, n=9))
         with pytest.raises(ValueError, match=r"^interior pivot index must "
                            r"be in 2\.\.n$"):
+            force_interior_zero_pivot(base, i)
+
+    @pytest.mark.parametrize("i", [2.0, 3.5])
+    def test_rejects_index_that_is_not_an_int(self, i):
+        base = generate(GeneratorConfig(seed=21, n=9))
+        with pytest.raises(TypeError, match="^'float' object cannot be "
+                           "interpreted as an integer$"):
             force_interior_zero_pivot(base, i)
 
 

@@ -6,7 +6,8 @@ import dataclasses
 import pytest
 
 from backpenta import (BackwardPentaSystem, LengthMismatch, PentaSystem,
-                       new_system, reverse_rows, solve, solve_symbolic)
+                       force_interior_zero_pivot, new_system, reverse_rows,
+                       solve, solve_symbolic)
 
 BANDS = ([3, 2, 3], [-1, -2, 1, 4], [1, 2, 2, -2, -1], [4, 1, 2, 1],
          [1, 2, 1])
@@ -28,7 +29,8 @@ def test_solve_rejects_a_reversed_system():
 
 @pytest.mark.parametrize("run", [
     lambda s: solve(s, mode="exact"), lambda s: solve(s, mode="float"),
-    solve_symbolic], ids=["exact", "float", "symbolic"])
+    solve_symbolic, lambda s: force_interior_zero_pivot(s, 3)],
+    ids=["exact", "float", "symbolic", "force_pivot"])
 def test_every_entry_point_names_a_reversed_system(run):
     # int entries skip the exact lift, so only the type check stops A1
     # from being solved as if it were A
