@@ -49,8 +49,8 @@ from . import __version__
 from .oracle import GeneratorConfig, Singular, dense_solve, generate
 from .ratfunc import PoleAtZero, from_literal
 from .solver import ZeroPivot, solve, solve_symbolic
-from .systems import (BackwardPentaSystem, LengthMismatch, SizeTooSmall,
-                      band_product, densify, new_system)
+from .systems import (VECTORS, BackwardPentaSystem, LengthMismatch,
+                      SizeTooSmall, band_product, densify, new_system)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,9 +145,8 @@ def _read(path: str) -> BackwardPentaSystem:
 def format_system(system: BackwardPentaSystem, header: str = "") -> str:
     out = [f"# {header}"] if header else []
     out.append(str(system.n))
-    for vec in (system.a_tilde, system.a, system.d, system.b,
-                system.b_tilde, system.y):
-        out.append(" ".join(map(str, vec)))
+    for field, _ in VECTORS:
+        out.append(" ".join(map(str, getattr(system, field))))
     return "\n".join(out) + "\n"
 
 

@@ -9,9 +9,8 @@ symbolic report's factors; solve_symbolic runs the kernel below.
 factor, forward_sweep and back_substitute are the indexed form: each
 row reads its band entries of A1 X = Y1, a PentaSystem, and earlier
 results by index. They derive a report's factors and z, the one place A1
-is built, and are the reference for float solve, which runs
-the same operations in the same order fused into one pass that lifts each
-entry as it reads it (_streamed_solve).
+is built, and are the reference for float solve, which runs the same
+operations in the same order fused into one pass (_streamed_solve).
 
 Exact answers come from one division-free kernel, _band_minors: a transfer
 recurrence over Z[x] giving the Bareiss rows of [A1 + xE | Y1], which
@@ -89,8 +88,9 @@ class SolveReport:
         default=None, repr=False, compare=False)
 
     @functools.cached_property
-    def _a1(self) -> PentaSystem:  # lifted again: the solve's lift succeeded
-        return reverse_rows(_lift(self._system, self.mode))
+    def _a1(self) -> PentaSystem:  # unchecked: the solve read every entry
+        scalar = float if self.mode == "float" else Fraction
+        return reverse_rows(self._system.map_scalars(scalar))
 
     @functools.cached_property
     def factors(self) -> LUFactors:  # without tol: no pivot fell below it
@@ -205,10 +205,11 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     An entry's error comes before any ZeroPivot, whichever is met first.
 
     Float mode fuses factor, forward_sweep, back_substitute and determinant
-    into one pass, _streamed_solve, lifting each entry as it reads it; it
-    checks the entries only when the pass raises or gives a non-finite pivot
-    or x_k. Exact mode runs _band_minors with no pivot replaced: ZeroPivot(k)
-    at the first zero minor D_k = D_(k-1) beta_k, else x_k = N_k / D_n.
+    into one pass, _streamed_solve, converting each entry as it reads it;
+    _name_float_fault, which builds no float copy, names a faulty entry only
+    when the pass raises or gives a non-finite pivot or x_k. Exact mode runs
+    _band_minors with no pivot replaced: ZeroPivot(k) at the first zero
+    minor D_k = D_(k-1) beta_k, else x_k = N_k / D_n.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}; use solve_symbolic for symbolic")
@@ -225,13 +226,12 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     _require_backward(system)
     try:
         x, beta = _streamed_solve(system, tol)
-    except (ArithmeticError, ValueError, TypeError):  # lift or ZeroPivot
-        _lift(system, "float")
+    except (ArithmeticError, ValueError, TypeError):  # float() or ZeroPivot
+        _name_float_fault(system)
         raise
-    # one sum finds any NaN or inf; finite values may still sum to inf,
-    # and then the lift names nothing
+    # one sum finds any NaN or inf (or finite values summing to inf)
     if not math.isfinite(sum(beta) + sum(x)):
-        _lift(system, "float")
+        _name_float_fault(system)
     return SolveReport(x=x, det=math.prod(beta), mode=mode, _system=system)
 
 
@@ -305,31 +305,29 @@ def _require_backward(system) -> None:
                              f"{type(system).__name__}")
 
 
-def _lift(system: BackwardPentaSystem,
-          mode: str = "exact") -> BackwardPentaSystem:
-    """The system over float in float mode and over Fraction otherwise, the
-    one lift of every mode; its rows stay in the order of A. Names the
-    first faulty entry in BANDS order then y: in float mode OverflowError
-    for one beyond the float range, then ValueError for a NaN or inf;
-    otherwise ValueError for a NaN or inf."""
-    if mode == "float":
-        try:
-            lifted = system.map_scalars(float)
-        except OverflowError:
-            _name_entry(system, OverflowError, _beyond_float_range)
-            raise
-        # one sum per vector finds any NaN or inf; finite values may still
-        # sum to inf, and then no entry is named
-        if not all(math.isfinite(sum(getattr(lifted, field)))
-                   for field, _ in VECTORS):
-            _name_entry(lifted, ValueError, _not_finite)
-    else:
-        try:
-            lifted = system.map_scalars(Fraction)
-        except (ValueError, OverflowError):  # Fraction of a float NaN or inf
-            _name_entry(system, ValueError, _not_finite)
-            raise
-    return lifted
+def _lift(system: BackwardPentaSystem) -> BackwardPentaSystem:
+    """The system over Fraction, rows in the order of A: the one lift.
+    ValueError names the first NaN or inf entry, in BANDS order then y."""
+    try:
+        return system.map_scalars(Fraction)
+    except (ValueError, OverflowError):  # Fraction of a float NaN or inf
+        _name_entry(system, ValueError, _not_finite)
+        raise
+
+
+def _name_float_fault(system: BackwardPentaSystem) -> None:
+    """Raise float mode's error for the first faulty entry, in BANDS order
+    then y, with no float copy built: OverflowError naming one beyond the
+    float range, float()'s own error, or ValueError naming a NaN or inf.
+    One sum per vector converts every entry; an entry is sought only when
+    one overflows or a sum is not finite (finite values may sum to inf)."""
+    try:
+        sums = [sum(map(float, getattr(system, f))) for f, _ in VECTORS]
+    except OverflowError:
+        _name_entry(system, OverflowError, _beyond_float_range)
+        raise
+    if not all(map(math.isfinite, sums)):
+        _name_entry(system, ValueError, lambda v: _not_finite(float(v)))
 
 
 def _not_finite(v) -> Optional[str]:

@@ -6,16 +6,21 @@ in exact mode and in float mode with and without tol. solve must give
 what the rule below gives, result or exception (type and message):
 
 1. float mode: the first entry, in band order (a~, a, d, b, b~) then y,
-   that float() cannot hold raises OverflowError naming it;
+   that float() rejects decides: OverflowError (it cannot hold the entry)
+   is raised naming it, any other error of float() stands as it is;
+   exact mode: if the first entry that Fraction() rejects raises a
+   TypeError, that error stands;
 2. the first entry that is a NaN or infinite float raises ValueError
    naming it;
-3. otherwise the answer is answers.reference: the whole system is lifted
+3. exact mode: the error of the first entry that Fraction() rejects;
+4. otherwise the answer is answers.reference: the whole system is lifted
    and factor, forward_sweep, back_substitute and determinant run on it.
    A zero pivot (or one below tol) raises ZeroPivot, and a finite system
    whose float solve overflows returns its inf or NaN components without
    an error.
 """
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -40,16 +45,27 @@ def _named(system):
 
 
 def _by_the_rule(system, mode, tol):
-    if mode == "float":
-        for name, v in _named(system):
-            try:
-                float(v)
-            except OverflowError:
-                return OverflowError, f"{name} is beyond the float range"
+    name, exc = _first_rejected(system, float if mode == "float" else Fraction)
+    if mode == "float" and isinstance(exc, OverflowError):
+        return OverflowError, f"{name} is beyond the float range"
+    if exc and (mode == "float" or isinstance(exc, TypeError)):
+        return type(exc), str(exc)
     for name, v in _named(system):
         if isinstance(v, float) and not math.isfinite(v):
             return ValueError, f"{name} is {v}, not finite"
+    if exc:
+        return type(exc), str(exc)
     return reference(system, mode, tol)
+
+
+def _first_rejected(system, scalar):
+    """(name, error) of the first entry scalar() rejects, else (None, None)."""
+    for name, v in _named(system):
+        try:
+            scalar(v)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            return name, exc
+    return None, None
 
 
 def _bases():
@@ -114,3 +130,26 @@ def test_a_non_number_entry_raises_its_own_lift_error(run, message):
     system = _with(ex31, "y", ex31.y[:4] + ("abc",))  # y_5
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(system)
+
+
+TWO_BAD = {"nan": math.nan, "10**400": 10 ** 400, "'abc'": "abc",
+           "None": None}
+
+
+@pytest.mark.parametrize("base", [0, 1], ids=[BASES[0][0], BASES[1][0]])
+@pytest.mark.parametrize("first, second",
+                         itertools.product(TWO_BAD.values(), repeat=2),
+                         ids=[f"{u}-{v}" for u, v
+                              in itertools.product(TWO_BAD, repeat=2)])
+def test_two_bad_entries_give_the_outcome_of_the_rule(first, second, base):
+    # a~_1 and y_5: the first and last entries in band order then y, which
+    # float solve's pass reads last and first
+    _, system, _ = BASES[base]
+    system = _with(system, "a_tilde", (first,) + system.a_tilde[1:])
+    system = _with(system, "y", system.y[:4] + (second,))
+    for mode in ("float", "exact"):
+        try:
+            got = solved(system, mode)
+        except TypeError as exc:  # not an answer in answers.solved
+            got = TypeError, str(exc)
+        assert got == _by_the_rule(system, mode, None), mode

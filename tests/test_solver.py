@@ -14,7 +14,7 @@ from backpenta import (GeneratorConfig, IdenticallySingular, PoleAtZero,
                        solve, solve_symbolic)
 from backpenta.instrument import CountingScalar, OpCounter
 from backpenta.solver import _streamed_solve
-from backpenta.systems import BANDS
+from backpenta.systems import BANDS, BackwardPentaSystem
 
 F = Fraction
 
@@ -70,6 +70,23 @@ class TestGoldenFactorization:
         report = solve(app1, mode="exact")
         assert report.x == (1,) * 6
         assert report.det == -8597
+
+
+@pytest.mark.parametrize("nan_y3, error, message", [
+    (False, ZeroPivot, r"^zero pivot beta\[1\]$"),
+    (True, ValueError, "^vector y: entry y_3 is nan, not finite$"),
+], ids=["ex32", "ex31 with nan"])
+def test_float_failure_path_builds_no_copy(nan_y3, error, message, ex31, ex32,
+                                           monkeypatch):
+    # naming a faulty entry scans the system: no float copy is mapped
+    system = replace(ex31, y=(10, 26, math.nan, 14, 4)) if nan_y3 else ex32
+    calls = []
+    map_scalars = BackwardPentaSystem.map_scalars
+    monkeypatch.setattr(BackwardPentaSystem, "map_scalars",
+                        lambda s, fn: calls.append(fn) or map_scalars(s, fn))
+    with pytest.raises(error, match=message):
+        solve(system, mode="float")
+    assert calls == []
 
 
 class TestSymbolic:
