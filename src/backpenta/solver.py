@@ -218,7 +218,7 @@ def solve(system: BackwardPentaSystem, mode: str = "exact",
     if tol is not None and not tol >= 0:  # |beta| < nan is never true
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if mode == "exact":
-        _, minors, scales = _band_minors(_a1_rows(system))
+        _, minors, scales = _band_minors(_a1_rows(_exact(system)))
         det = minors[-1][0]
         return SolveReport(
             tuple(Fraction(v, det) for v in _numerators(minors)),
@@ -239,59 +239,62 @@ def _streamed_solve(system: BackwardPentaSystem, tol):
     """x and the pivots beta_1..beta_n of A1 X = Y1, from the unlifted
     system in one pass over its bands: float solve's pass.
 
-    Each entry is lifted as it is read. Row i computes alpha_i, beta_i and
-    z_i together, the elimination of the augmented [A1 | Y1]: z_i reuses
-    the multiplier a~_(n-i+1)/beta_(i-2) and gamma_i of the factor step,
-    and gamma is not kept. The back sweep then reads b~ again. Every
-    operation is the one _factor, forward_sweep or back_substitute makes,
-    in the same order, so the values are theirs bit for bit.
+    Each vector is read once, last entry first (A1's row order), through
+    one iterator that lifts each entry as it is read. Row i computes
+    alpha_i, beta_i and z_i together, the elimination of the augmented
+    [A1 | Y1]: z_i reuses the multiplier a~_(n-i+1)/beta_(i-2) and gamma_i
+    of the factor step, and gamma is not kept. The back sweep then reads
+    b~ again, first entry first. Every operation is the one _factor,
+    forward_sweep or back_substitute makes, in the same order, so the
+    values are theirs bit for bit.
     """
     n = system.n
-    at, a, d, b, bt, y = (system.a_tilde, system.a, system.d, system.b,
-                          system.b_tilde, system.y)
+    at, a, d, b, bt, y = (map(float, reversed(getattr(system, field)))
+                          for field, _ in VECTORS)
 
     def checked(i, s):
         if not s or (tol is not None and abs(s) < tol):
             raise ZeroPivot(i)
         return s
 
-    beta2 = checked(1, float(d[n - 1]))
-    g = float(a[n - 2]) / beta2
-    alpha2 = float(b[n - 2])
-    beta1 = checked(2, float(d[n - 2]) - alpha2 * g)
-    bti = float(bt[n - 3])
-    alpha1 = float(b[n - 3]) - g * bti
-    z2 = float(y[n - 1])
-    z1 = float(y[n - 2]) - g * z2
+    beta2 = checked(1, next(d))
+    g = next(a) / beta2
+    alpha2 = next(b)
+    beta1 = checked(2, next(d) - alpha2 * g)
+    bti = next(bt)
+    alpha1 = next(b) - g * bti
+    z2 = next(y)
+    z1 = next(y) - g * z2
     alpha, beta, z = [alpha2, alpha1], [beta2, beta1], [z2, z1]
-    # Row i = 3..n-1 reads a~, a, d and y at band index n-i and b and b~ at
-    # n-i-1, each slice running backwards; bti carries b~ at n-i, read by
-    # the row before as its b~ at n-i-1.
-    for ati, ai, di, bi, bti1, yi in zip(
-            map(float, at[n - 3:0:-1]), map(float, a[n - 3:0:-1]),
-            map(float, d[n - 3:0:-1]), map(float, b[n - 4::-1]),
-            map(float, bt[n - 4::-1]), map(float, y[n - 3:0:-1])):
+    # Row i = 3..n-1 reads the next entry of each vector: b and b~ one
+    # place further on than the rest, so bti carries b~ of the row before.
+    # b and b~ run out first, after row n-1, and zip pulls its iterators
+    # left to right, so it stops before it takes row n's a~, a, d or y.
+    for bi, bti1, ati, ai, di, yi in zip(b, bt, at, a, d, y):
         mult = ati / beta2  # a~_(n-i+1) / beta_(i-2)
         g = (ai - mult * alpha2) / beta1
-        al = bi - g * bti1
-        s = di - mult * bti - alpha1 * g
+        alpha2 = alpha1
+        alpha1 = bi - g * bti1
+        s = di - mult * bti - alpha2 * g
         if not s or (tol is not None and abs(s) < tol):
             raise ZeroPivot(len(beta) + 1)
+        beta2 = beta1
+        beta1 = s
+        bti = bti1
         z2, z1 = z1, yi - mult * z2 - g * z1
-        alpha2, alpha1, beta2, beta1, bti = alpha1, al, beta1, s, bti1
-        alpha.append(al)
+        alpha.append(alpha1)
         beta.append(s)
         z.append(z1)
-    mult = float(at[0]) / beta2
-    g = (float(a[0]) - mult * alpha2) / beta1
-    beta.append(checked(n, float(d[0]) - mult * bti - alpha1 * g))
-    z.append(float(y[0]) - mult * z2 - g * z1)
+    mult = next(at) / beta2
+    g = (next(a) - mult * alpha2) / beta1
+    beta.append(checked(n, next(d) - mult * bti - alpha1 * g))
+    z.append(next(y) - mult * z2 - g * z1)
 
-    x2 = z[n - 1] / beta[n - 1]
-    x1 = (z[n - 2] - alpha[n - 2] * x2) / beta[n - 2]
+    zs, alphas, betas = reversed(z), reversed(alpha), reversed(beta)
+    x2 = next(zs) / next(betas)
+    x1 = (next(zs) - next(alphas) * x2) / next(betas)
     x = [x2, x1]
-    for zi, al, bti, s in zip(z[n - 3::-1], alpha[n - 3::-1],
-                              map(float, bt), beta[n - 3::-1]):
+    for zi, al, bti, s in zip(zs, alphas, map(float, system.b_tilde), betas):
         x2, x1 = x1, (zi - al * x1 - bti * x2) / s
         x.append(x1)
     x.reverse()
@@ -375,7 +378,7 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
     float.
     """
     n = system.n
-    rows = list(_a1_rows(system))
+    rows = list(_a1_rows(_exact(system)))
     bits = _slot_bits(rows)
     replaced, minors, scales = _band_minors(rows, bits)
     det = _unpack(minors[-1][0], bits)
@@ -394,20 +397,25 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
                        x_presub=x_presub, _system=system)
 
 
+def _exact(system: BackwardPentaSystem) -> BackwardPentaSystem:
+    """The system _a1_rows reads: first rejects a system that is not
+    backward, then gives it as it is if every entry is an int or a
+    Fraction, else _lift's, which names a NaN or inf entry before any row
+    is read: this scan keeps every ZeroPivot after it."""
+    _require_backward(system)
+    if all(set(map(type, getattr(system, field))) <= {int, Fraction}
+           for field, _ in VECTORS):
+        return system
+    return _lift(system)
+
+
 def _a1_rows(system: BackwardPentaSystem):
     """Rows i of [A1 | Y1] in order, each scaled by the lcm of its
-    denominators: pairs (row, scale) of the integer list [A1[i][i-2],
-    A1[i][i-1], A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based) and the
-    scale, each built only when it is read. VECTORS padded with max(k, 0)
-    zeros in front and max(-k, 0) behind, zipped in reverse, give A1's rows.
-
-    First rejects a system that is not backward, then reads int and
-    Fraction entries as they are, else _lift's, which names a NaN or inf
-    entry before any row: this scan keeps every ZeroPivot after it."""
-    _require_backward(system)
-    if not all(set(map(type, getattr(system, field))) <= {int, Fraction}
-               for field, _ in VECTORS):
-        system = _lift(system)
+    denominators, for a system of int and Fraction entries (_exact's):
+    pairs (row, scale) of the integer list [A1[i][i-2], A1[i][i-1],
+    A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based) and the scale, each
+    built only when it is read. VECTORS padded with max(k, 0) zeros in
+    front and max(-k, 0) behind, zipped in reverse, give A1's rows."""
     padded = ((0,) * max(k, 0) + getattr(system, field) + (0,) * max(-k, 0)
               for field, k in VECTORS)
     for row in zip(*map(reversed, padded)):
@@ -475,10 +483,11 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     beta_i depends on d_(n-i+1) only through an additive term, and the
     pivots before i do not read that entry, so shifting it by -beta_i
     zeroes the pivot without disturbing beta_1..beta_(i-1). Returns the
-    modified system, lifted to Fraction once beta_i is known, or None when
-    beta_i is not a constant (an earlier pivot was already zero, so the
-    system already exercises the rescue path). Raises TypeError for an i
-    that is not an int, and what _a1_rows raises for the system.
+    modified system, over Fraction, or None when beta_i is not a constant
+    (an earlier pivot was already zero, so the system already exercises
+    the rescue path). Raises TypeError for an i that is not an int, and
+    what _exact raises for the system. A system with an entry of another
+    type is lifted once, by _exact, and the others once beta_i is known.
 
     beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
     xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of
@@ -488,7 +497,8 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     n, i = system.n, operator.index(i)
     if not 2 <= i <= n:
         raise ValueError("interior pivot index must be in 2..n")
-    rows = list(itertools.islice(_a1_rows(system), i))
+    p = _exact(system)
+    rows = list(itertools.islice(_a1_rows(p), i))
     bits = _slot_bits(rows)
     _, minors, scales = _band_minors(rows, bits)
     # rows are scaled, so beta_i = D_i / (scales[i-1] D_(i-1)): a constant
@@ -497,7 +507,8 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     if len(di) != len(dp) or any(u * dp[-1] != v * di[-1]
                                  for u, v in zip(di, dp)):
         return None
-    p = _lift(system)
+    if p is system:  # its int and Fraction entries were read as they are
+        p = p.map_scalars(Fraction)
     d = list(p.d)
     d[n - i] -= Fraction(di[-1], dp[-1] * scales[i - 1])  # d_(n-i+1)
     return replace(p, d=d)

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from answers import divided
-from backpenta import (GeneratorConfig, RationalFunction, Singular,
-                       SplitMix64, densify, dense_det, dense_solve,
-                       force_interior_zero_pivot, generate, laplacian_system,
-                       new_system, reverse_rows, solve)
+from backpenta import (BackwardPentaSystem, GeneratorConfig,
+                       RationalFunction, Singular, SplitMix64, densify,
+                       dense_det, dense_solve, force_interior_zero_pivot,
+                       generate, laplacian_system, new_system, reverse_rows,
+                       solve)
 from backpenta import oracle, solver
 from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
@@ -222,6 +223,24 @@ class TestForcedInteriorPivot:
         with pytest.raises(TypeError, match="^'float' object cannot be "
                            "interpreted as an integer$"):
             force_interior_zero_pivot(base, i)
+
+    @pytest.mark.parametrize("scalar", [int, float, Fraction])
+    def test_lifts_the_system_once(self, scalar, monkeypatch):
+        # a float-entry system is lifted before its rows are read, and d is
+        # shifted on that lift; int and Fraction systems are read as they
+        # are and lifted at the end: one map_scalars call either way
+        base = generate(GeneratorConfig(seed=21, n=9))
+        want = force_interior_zero_pivot(base, 5)
+        system = base.map_scalars(scalar)
+        calls = []
+        map_scalars = BackwardPentaSystem.map_scalars
+        monkeypatch.setattr(
+            BackwardPentaSystem, "map_scalars",
+            lambda s, fn: calls.append(fn) or map_scalars(s, fn))
+        forced = force_interior_zero_pivot(system, 5)
+        assert calls == [Fraction]
+        assert _typed(forced) == _typed(want)
+        assert {t for t, _ in _typed(forced).d} == {Fraction}
 
 
 def _force_factor_symbolic(system):

@@ -366,6 +366,19 @@ class TestProperties:
             _streamed_solve(s, None)
             assert counter.count == 19 * n - 29
 
+    @pytest.mark.parametrize("n, calls", [(5, 27), (6, 34), (100, 692),
+                                          (1000, 6992)])
+    def test_pass_converts_each_entry_once(self, n, calls, monkeypatch):
+        # 7n - 8 lifts: each of the 6n - 6 entries once, and b~ again in the
+        # back sweep; the pass lifts by the name float, shadowed here
+        s = generate(GeneratorConfig(seed=7, n=n))
+        lifted = []
+        monkeypatch.setattr("backpenta.solver.float",
+                            lambda v: lifted.append(v) or float(v),
+                            raising=False)
+        _streamed_solve(s, None)
+        assert len(lifted) == calls == 7 * n - 8
+
     def test_counting_scalar_defines_only_the_recurrence_operators(self):
         counter = OpCounter()
         c = CountingScalar(2.0, counter)
