@@ -56,21 +56,21 @@ class IdenticallySingular(PoleAtZero):
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Vectors of the factorization A1 = L U.
+    """Vectors of the factorization A1 = L U, of size n = len(beta).
 
     alpha[i-1] = alpha_i (i = 1..n-1): first superdiagonal of U.
     beta[i-1]  = beta_i  (i = 1..n):   diagonal of U (the pivots).
     gamma[i-2] = gamma_i (i = 2..n):   first subdiagonal of L.
+    replacements: the 1-based indices of the pivots replaced by the symbol.
     The second superdiagonal of U is the b_tilde band and the second
     subdiagonal of L is a_tilde_(n-i+1)/beta_(i-2); neither needs storage.
     """
 
-    n: int
     alpha: tuple
     beta: tuple
     gamma: tuple
 
-    replacements: tuple = ()  # 1-based pivot indices replaced by the symbol
+    replacements: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _factor(sys: PentaSystem, tol, sym) -> LUFactors:
     gamma[n - 2] = (a[0] - mult * alpha[n - 3]) / beta[n - 2]
     beta[n - 1] = checked(n, d[0] - mult * bt[0] - alpha[n - 2] * gamma[n - 2])
 
-    return LUFactors(n, tuple(alpha), tuple(beta), tuple(gamma), tuple(hits))
+    return LUFactors(tuple(alpha), tuple(beta), tuple(gamma), tuple(hits))
 
 
 def forward_sweep(system: PentaSystem, lu: LUFactors) -> tuple:
@@ -189,7 +189,7 @@ def determinant(lu: LUFactors):
 def det_original(lu: LUFactors):
     """det(A) = (-1)^floor(n/2) det(A1): parity of the row reversal."""
     det = determinant(lu)
-    return -det if (lu.n // 2) % 2 else det
+    return -det if (len(lu.beta) // 2) % 2 else det
 
 
 def solve(system: BackwardPentaSystem, mode: str = "exact",
@@ -308,16 +308,6 @@ def _require_backward(system) -> None:
                              f"{type(system).__name__}")
 
 
-def _lift(system: BackwardPentaSystem) -> BackwardPentaSystem:
-    """The system over Fraction, rows in the order of A: the one lift.
-    ValueError names the first NaN or inf entry, in BANDS order then y."""
-    try:
-        return system.map_scalars(Fraction)
-    except (ValueError, OverflowError):  # Fraction of a float NaN or inf
-        _name_entry(system, ValueError, _not_finite)
-        raise
-
-
 def _name_float_fault(system: BackwardPentaSystem) -> None:
     """Raise float mode's error for the first faulty entry, in BANDS order
     then y, with no float copy built: OverflowError naming one beyond the
@@ -337,8 +327,8 @@ def _not_finite(v) -> Optional[str]:
     # compares, never converts: an int beyond the float range is finite
     try:
         return f"is {v}, not finite" if v != v or abs(v) == math.inf else None
-    except TypeError:  # no abs (a str): the lift's own error stands
-        return None
+    except (TypeError, ArithmeticError):  # no abs (a str), or no compare
+        return None  # (a signaling Decimal NaN): the lift's own error stands
 
 
 def _beyond_float_range(v) -> Optional[str]:
@@ -398,15 +388,20 @@ def solve_symbolic(system: BackwardPentaSystem) -> SolveReport:
 
 
 def _exact(system: BackwardPentaSystem) -> BackwardPentaSystem:
-    """The system _a1_rows reads: first rejects a system that is not
-    backward, then gives it as it is if every entry is an int or a
-    Fraction, else _lift's, which names a NaN or inf entry before any row
-    is read: this scan keeps every ZeroPivot after it."""
+    """The system _a1_rows reads, rows in the order of A: the one lift.
+    First rejects a system that is not backward, then gives it as it is
+    if every entry is an int or a Fraction, else lifts it to Fraction
+    once. ValueError names the first NaN or inf entry, in BANDS order then
+    y, before any row is read: this scan keeps every ZeroPivot after it."""
     _require_backward(system)
     if all(set(map(type, getattr(system, field))) <= {int, Fraction}
            for field, _ in VECTORS):
         return system
-    return _lift(system)
+    try:
+        return system.map_scalars(Fraction)
+    except (ValueError, OverflowError):  # Fraction of a float NaN or inf
+        _name_entry(system, ValueError, _not_finite)
+        raise
 
 
 def _a1_rows(system: BackwardPentaSystem):
@@ -486,8 +481,10 @@ def force_interior_zero_pivot(system: BackwardPentaSystem, i: int):
     modified system, over Fraction, or None when beta_i is not a constant
     (an earlier pivot was already zero, so the system already exercises
     the rescue path). Raises TypeError for an i that is not an int, and
-    what _exact raises for the system. A system with an entry of another
-    type is lifted once, by _exact, and the others once beta_i is known.
+    what _exact raises for the system: AttributeError if it is not
+    backward, ValueError naming a NaN or inf entry, or the lift's own
+    error. A system with an entry that is not an int or a Fraction is
+    lifted once, by _exact, and the others once beta_i is known.
 
     beta_i is D_i / D_(i-1), a ratio of leading minors of the rescued A1 +
     xE (see solve_symbolic), and reads only rows 1..i of A1: the D_k of

@@ -13,7 +13,7 @@ import pytest
 from answers import divided
 from backpenta import (GeneratorConfig, SplitMix64, dense_det, densify,
                        force_interior_zero_pivot, generate, reverse_rows)
-from backpenta.solver import (_a1_rows, _band_minors, _lift as _lift_exact,
+from backpenta.solver import (_a1_rows, _band_minors, _exact,
                               _slot_bits, _unpack)
 
 ZERO_SETS = ((), ("d_n",), ("d_1",), ("d_n", "d_3"), ("a_1", "b_2"))
@@ -50,7 +50,7 @@ def test_leading_minors_match_dense_det():
     singular = 0
     for s in _systems(120):
         n = s.n
-        pairs = list(_a1_rows(_lift_exact(s)))
+        pairs = list(_a1_rows(_exact(s)))
         bits = _slot_bits(pairs)
         replaced, minors, scales = _band_minors(pairs, bits)
         rows = [row for row, _ in pairs]

@@ -23,6 +23,7 @@ what the rule below gives, result or exception (type and message):
 import itertools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,32 @@ def test_a_non_number_entry_raises_its_own_lift_error(run, message):
     system = _with(ex31, "y", ex31.y[:4] + ("abc",))  # y_5
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(system)
+
+
+@pytest.mark.parametrize("run, message, message_after_nan", [
+    (lambda s: solve(s, mode="exact"), "cannot convert NaN to integer ratio",
+     "vector y: entry y_1 is nan, not finite"),
+    (solve_symbolic, "cannot convert NaN to integer ratio",
+     "vector y: entry y_1 is nan, not finite"),
+    (lambda s: force_interior_zero_pivot(s, 3),
+     "cannot convert NaN to integer ratio",
+     "vector y: entry y_1 is nan, not finite"),
+    (lambda s: solve(s, mode="float"),
+     "cannot convert signaling NaN to float",
+     "cannot convert signaling NaN to float"),
+], ids=["exact solve", "solve_symbolic", "force_interior_zero_pivot",
+        "float solve"])
+def test_a_signaling_decimal_nan_raises_its_own_lift_error(
+        run, message, message_after_nan):
+    # a signaling Decimal NaN does not compare, so it is not named: the
+    # lift's own ValueError stands, but a float NaN after it in band order
+    # then y is still named first in the exact modes
+    _, ex31, _ = BASES[0]
+    system = _with(ex31, "d", ex31.d[:4] + (Decimal("sNaN"),))  # d_5
+    nan_y1 = _with(system, "y", (math.nan,) + ex31.y[1:])
+    for s, want in ((system, message), (nan_y1, message_after_nan)):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            run(s)
 
 
 TWO_BAD = {"nan": math.nan, "10**400": 10 ** 400, "'abc'": "abc",

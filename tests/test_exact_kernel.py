@@ -12,13 +12,14 @@ system.
 
 import dataclasses
 from array import array
+from fractions import Fraction
 
 import pytest
 
 from answers import lifted, reference, solved
-from backpenta import (GeneratorConfig, ZeroPivot, factor, factor_symbolic,
-                       force_interior_zero_pivot, forward_sweep, generate,
-                       solve, solve_symbolic)
+from backpenta import (BackwardPentaSystem, GeneratorConfig, ZeroPivot,
+                       factor, factor_symbolic, force_interior_zero_pivot,
+                       forward_sweep, generate, solve, solve_symbolic)
 from backpenta import solver
 
 SIZES = range(5, 45)
@@ -92,6 +93,26 @@ def test_early_zero_pivot_reads_at_most_two_rows(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"^vector y: entry y_1 is nan, not finite$"):
         solve(nan_y1, mode="exact")
+
+
+@pytest.mark.parametrize("scalar, lifts", [(int, 0), (Fraction, 0),
+                                           (float, 1)])
+@pytest.mark.parametrize("run", [lambda s: solve(s, mode="exact"),
+                                 solve_symbolic],
+                         ids=["exact solve", "solve_symbolic"])
+def test_lifts_only_a_system_it_cannot_read(run, scalar, lifts, monkeypatch):
+    # int and Fraction entries go to the kernel as they are (the rescue's
+    # exact attempt and its symbolic solve read int systems); any other
+    # system is lifted to Fraction once
+    system = generate(GeneratorConfig(seed=21, n=9)).map_scalars(scalar)
+    want = run(system)
+    calls = []
+    map_scalars = BackwardPentaSystem.map_scalars
+    monkeypatch.setattr(
+        BackwardPentaSystem, "map_scalars",
+        lambda s, fn: calls.append(fn) or map_scalars(s, fn))
+    assert run(system) == want
+    assert calls == [Fraction] * lifts
 
 
 def _float_bytes(lu, z):
