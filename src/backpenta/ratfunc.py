@@ -6,8 +6,9 @@ and runs the LU recurrences over Q(x), the rational functions with rational
 coefficients; solve_symbolic runs the division-free Z[x] kernel instead.
 Q(x) holds the reference recurrences, a symbolic report's factors and z,
 and the canonical x_presub, in a canonical form (coprime numerator and
-denominator, monic denominator) so equality is structural. poly_gcd's
-Euclidean loop stops at the first nonzero constant remainder (gcd 1).
+denominator, monic denominator) so equality is structural. poly_gcd
+runs Euclid on primitive integer multiples, in ints, and stops at the
+first nonzero constant remainder (gcd 1).
 
 Plain rationals are ``fractions.Fraction`` throughout; it already provides
 the reduced p/q invariant with a positive denominator.
@@ -186,19 +187,59 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over Q.
+def _primitive(coeffs) -> list:
+    """The primitive integer multiple of an int or Fraction coefficient
+    sequence: denominators cleared by their lcm, then the content (the gcd
+    of the integer coefficients) divided out. Empty for the zero
+    polynomial."""
+    if not coeffs:
+        return []
+    den = math.lcm(*[c.denominator for c in coeffs])
+    if den == 1:  # as solve_symbolic's numerators and D(x) always are
+        ints = [c.numerator for c in coeffs]
+    else:
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return ints if content == 1 else [c // content for c in ints]
 
-    The loop stops at the first nonzero constant remainder: a constant is
-    a unit of Q[x], so the gcd is 1 without one more division.
+
+def _prem(a: list, b: list) -> list:
+    """Pseudo-remainder of a by b over Z, ascending int coefficients with
+    b's last nonzero: k * (a mod b) for a nonzero integer k, with no
+    trailing zeros. The remainder is scaled by b's leading coefficient
+    only at the steps that cancel a nonzero term."""
+    r = list(a)
+    lead, m = b[-1], len(b) - 1
+    while len(r) > m:
+        c = r.pop()
+        if c:
+            k = len(r) - m
+            r = [v * lead for v in r]
+            for i, bc in enumerate(b[:m]):
+                r[k + i] -= c * bc
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic gcd by the primitive polynomial remainder sequence.
+
+    Euclid runs on primitive integer multiples of p and q, in ints: each
+    step takes the pseudo-remainder over Z and divides out its content.
+    Every remainder is a nonzero rational multiple of the one Euclid over
+    Q gives, so the monic result is the same. The loop stops at the first
+    nonzero constant remainder: a constant is a unit of Q[x], so the gcd
+    is 1 without one more step.
     """
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    while not q.is_zero:
-        if q.degree == 0:
+    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
+    while b:
+        if len(b) == 1:
             return Polynomial.constant(1)
-        p, q = q, p % q
-    return p.monic()
+        a, b = b, _primitive(_prem(a, b))
+    return Polynomial(a).monic()
 
 
 def _operators(op):

@@ -324,9 +324,12 @@ def _name_float_fault(system: BackwardPentaSystem) -> None:
 
 
 def _not_finite(v) -> Optional[str]:
-    # compares, never converts: an int beyond the float range is finite
+    # compares before it converts: an int beyond the float range is finite.
+    # The text is float's, so every mode names a NaN or inf entry alike
     try:
-        return f"is {v}, not finite" if v != v or abs(v) == math.inf else None
+        if v != v or abs(v) == math.inf:
+            return f"is {float(v)}, not finite"
+        return None
     except (TypeError, ArithmeticError):  # no abs (a str), or no compare
         return None  # (a signaling Decimal NaN): the lift's own error stands
 

@@ -159,6 +159,25 @@ def test_a_signaling_decimal_nan_raises_its_own_lift_error(
             run(s)
 
 
+@pytest.mark.parametrize("run", [
+    lambda s: solve(s, mode="exact"), solve_symbolic,
+    lambda s: force_interior_zero_pivot(s, 3),
+    lambda s: solve(s, mode="float"),
+], ids=["exact solve", "solve_symbolic", "force_interior_zero_pivot",
+        "float solve"])
+@pytest.mark.parametrize("value, text", [
+    (Decimal("Infinity"), "inf"), (Decimal("-Infinity"), "-inf"),
+    (Decimal("NaN"), "nan"),
+], ids=["Infinity", "-Infinity", "NaN"])
+def test_a_decimal_nan_or_inf_is_named_as_float_names_it(run, value, text):
+    # every mode prints the entry as float() prints it, not as str() does
+    _, ex31, _ = BASES[0]
+    system = _with(ex31, "y", ex31.y[:3] + (value,) + ex31.y[4:])  # y_4
+    want = f"vector y: entry y_4 is {text}, not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        run(system)
+
+
 TWO_BAD = {"nan": math.nan, "10**400": 10 ** 400, "'abc'": "abc",
            "None": None}
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from backpenta import (BothZero, DivisionByZero, PoleAtZero, Polynomial,
-                       RationalFunction, from_literal, poly_gcd,
+                       RationalFunction, from_literal, poly_gcd, ratfunc,
                        solve_symbolic)
 
 X = Polynomial.x()
@@ -29,6 +29,16 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.lists(rationals, max_size=4).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 ratfuncs = st.tuples(polys, nonzero_polys).map(lambda t: RationalFunction(*t))
+big_ints = st.integers(-2 ** 60, 2 ** 60)
+mixed_fractions = st.builds(Fraction, big_ints, st.integers(1, 2 ** 30))
+
+
+def gcd_operands(coeffs):
+    """(p, q, common): p and q of degree <= 6 (zero and constants among
+    them) and a common factor of degree 1 to 3, coefficients from coeffs."""
+    wide = st.lists(coeffs, max_size=7).map(Polynomial)
+    factor = st.lists(coeffs, min_size=2, max_size=4).map(Polynomial)
+    return st.tuples(wide, wide, factor.filter(lambda f: f.degree >= 1))
 
 
 class TestFromLiteral:
@@ -126,18 +136,35 @@ class TestPolyGcd:
             assert f.num == (a // g).scale(1 / lead)
             assert f.den == (b // g).scale(1 / lead)
 
+    @given(st.one_of(gcd_operands(big_ints), gcd_operands(mixed_fractions)))
+    @example((Polynomial(), P(2 ** 60), P(-1, 2 ** 59)))
+    @example((P(Fraction(3, 2 ** 30)), Polynomial(), P(1, 1, 1, 1)))
+    @example((Polynomial(), P(Fraction(1, 3), 5, 7), P(0, Fraction(1, 7))))
+    @example((P(7), P(Fraction(-1, 2 ** 30), 2 ** 60), P(1, -1)))
+    def test_matches_the_plain_euclidean_loop_on_wide_operands(
+            self, operands):
+        # integer coefficients up to 2**60 or fractions with mixed
+        # denominators, as drawn and with the common factor planted
+        p, q, common = operands
+        for a, b in ((p, q), (p * common, q * common)):
+            if a.is_zero and b.is_zero:
+                with pytest.raises(BothZero):
+                    poly_gcd(a, b)
+                continue
+            assert poly_gcd(a, b) == reference_gcd(a, b)
+
     def test_constant_remainder_ends_the_loop(self, monkeypatch):
-        divisions = []
-        plain = Polynomial.__divmod__
+        steps = []
+        plain = ratfunc._prem
 
-        def counted(self, other):
-            divisions.append((self, other))
-            return plain(self, other)
+        def counted(a, b):
+            steps.append((a, b))
+            return plain(a, b)
 
-        monkeypatch.setattr(Polynomial, "__divmod__", counted)
-        # (2x + 1) mod (x + 3) = -5, a unit: the gcd is 1 after one division
+        monkeypatch.setattr(ratfunc, "_prem", counted)
+        # (2x + 1) prem (x + 3) = -5, a unit: the gcd is 1 after one step
         assert poly_gcd(P(1, 2), P(3, 1)) == P(1)
-        assert divisions == [(P(1, 2), P(3, 1))]
+        assert steps == [([1, 2], [3, 1])]
 
 
 class TestOperandRule:
