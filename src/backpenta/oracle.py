@@ -1,10 +1,10 @@
 """Independent dense verification path and seedable system generator.
 
-The dense solver is deliberately unrelated to the banded recurrences: it
-clears denominators row by row and runs fraction-free (Bareiss) elimination
-with partial pivoting over plain integers, finishing with an exact
-back substitution: O(n^3) time and O(n^2) memory. backpenta check runs it
-on any file, and at n = 3000 it gave no result after 110 s of CPU.
+The dense solver is the independent reference, so it shares no code with
+the banded kernel: _integer_rows clears denominators row by row, not by
+ratfunc._cleared. Fraction-free (Bareiss) elimination with partial
+pivoting and exact back substitution over integers cost O(n^3) time and
+O(n^2) memory. backpenta check always runs it: over 110 s of CPU at n = 3000.
 
 The generator's PRNG is splitmix64, fixed so the same seed produces the
 same system on every platform. Entries in [-m, m] are drawn as

@@ -7,8 +7,8 @@ coefficients; solve_symbolic runs the division-free Z[x] kernel instead.
 Q(x) holds the reference recurrences, a symbolic report's factors and z,
 and the canonical x_presub, in a canonical form (coprime numerator and
 denominator, monic denominator) so equality is structural. poly_gcd
-runs Euclid on primitive integer multiples, in ints, and stops at the
-first nonzero constant remainder (gcd 1).
+runs Euclid in ints to the first constant remainder; _cleared, the one
+place src clears denominators, also builds the kernel's rows.
 
 Plain rationals are ``fractions.Fraction`` throughout; it already provides
 the reduced p/q invariant with a positive denominator.
@@ -187,18 +187,20 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
+def _cleared(values) -> tuple:
+    """(ints, k): k the lcm of the denominators of int or Fraction values,
+    ints the integers k * v. The one place src clears denominators."""
+    k = math.lcm(*[v.denominator for v in values])
+    if k == 1:  # int rows, solve_symbolic's numerators and D(x)
+        return [v.numerator for v in values], 1
+    return [v.numerator * (k // v.denominator) for v in values], k
+
+
 def _primitive(coeffs) -> list:
-    """The primitive integer multiple of an int or Fraction coefficient
-    sequence: denominators cleared by their lcm, then the content (the gcd
-    of the integer coefficients) divided out. Empty for the zero
-    polynomial."""
-    if not coeffs:
-        return []
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:  # as solve_symbolic's numerators and D(x) always are
-        ints = [c.numerator for c in coeffs]
-    else:
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    """The primitive integer multiple of int or Fraction coefficients:
+    the ints of _cleared, src's one denominator clearing, over their
+    content (gcd). Empty for no coefficients."""
+    ints = _cleared(coeffs)[0]
     content = math.gcd(*ints)
     return ints if content == 1 else [c // content for c in ints]
 
@@ -358,20 +360,10 @@ class RationalFunction:
             return hash(self.num.coeffs[0] if self.num.coeffs else 0)
         return hash((self.num, self.den))
 
-    def _integer_scaled(self):
-        # Common rational multiplier that makes both polynomials integer
-        # and jointly primitive; used only for display.
-        coeffs = self.num.coeffs + self.den.coeffs
-        denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-        num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator)
-                             for c in coeffs))
-        mult = Fraction(denom_lcm, num_gcd)
-        return self.num.scale(mult), self.den.scale(mult)
-
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        num, den = self._integer_scaled()
+        k = len(self.num.coeffs)
+        ints = _primitive(self.num.coeffs + self.den.coeffs)
+        num, den = Polynomial(ints[:k]), Polynomial(ints[k:])
         if den == Polynomial.constant(1):
             return str(num)
         nrep = str(num) if num.degree < 1 else f"({num})"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .ratfunc import PoleAtZero, Polynomial, RationalFunction
+from .ratfunc import PoleAtZero, Polynomial, RationalFunction, _cleared
 from .systems import VECTORS, BackwardPentaSystem, PentaSystem, reverse_rows
 
 
@@ -408,17 +408,14 @@ def _exact(system: BackwardPentaSystem) -> BackwardPentaSystem:
 
 
 def _a1_rows(system: BackwardPentaSystem):
-    """Rows i of [A1 | Y1] in order, each scaled by the lcm of its
-    denominators, for a system of int and Fraction entries (_exact's):
-    pairs (row, scale) of the integer list [A1[i][i-2], A1[i][i-1],
-    A1[i][i], A1[i][i+1], A1[i][i+2], Y1[i]] (0-based) and the scale, each
-    built only when it is read. VECTORS padded with max(k, 0) zeros in
+    """Rows i of [A1 | Y1] in order, each built only when it is read, for
+    a system of int and Fraction entries (_exact's): (row, scale) pairs of
+    [A1[i][i-2], ..., A1[i][i+2], Y1[i]] (0-based) from _cleared, the one
+    place src clears denominators. VECTORS padded with max(k, 0) zeros in
     front and max(-k, 0) behind, zipped in reverse, give A1's rows."""
     padded = ((0,) * max(k, 0) + getattr(system, field) + (0,) * max(-k, 0)
               for field, k in VECTORS)
-    for row in zip(*map(reversed, padded)):
-        scale = math.lcm(*(v.denominator for v in row))
-        yield [v.numerator * (scale // v.denominator) for v in row], scale
+    yield from map(_cleared, zip(*map(reversed, padded)))
 
 
 def _slot_bits(rows: list) -> int:

@@ -7,6 +7,7 @@ row bounds.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,9 @@ ZERO_SETS = ((), ("d_n",), ("d_1",), ("d_n", "d_3"), ("a_1", "b_2"))
 
 def _systems(count):
     # seeded systems n = 5..12 over every zero set, half with non-integer
-    # Fraction entries, and every fourth made singular by zeroing beta_n
+    # Fraction entries, and every fourth made singular by zeroing beta_n;
+    # each divided one also comes with its int y kept, so that an int sits
+    # beside denominators > 1 in one row
     for seed in range(count):
         n = 5 + seed % 8
         s = generate(GeneratorConfig(seed=seed * 7919 + n, n=n,
@@ -30,7 +33,8 @@ def _systems(count):
         if seed % 4 == 3:
             s = force_interior_zero_pivot(s, n) or s
         if seed % 2:
-            s = divided(s, seed, 5)
+            y, s = s.y, divided(s, seed, 5)
+            yield replace(s, y=y)
         yield s
 
 

@@ -85,6 +85,18 @@ class TestPolynomial:
             divmod(P(1, 2), zero)
 
 
+class TestCleared:
+    def test_scales_by_the_lcm_of_the_denominators(self):
+        values = [3, Fraction(-1, 6), 0, Fraction(5, 4), Fraction(7)]
+        assert ratfunc._cleared(values) == ([36, -2, 0, 15, 84], 12)
+        assert ratfunc._cleared([]) == ([], 1)
+
+    def test_integers_give_their_numerators(self):
+        ints, k = ratfunc._cleared([2 ** 70, Fraction(-3), 0])
+        assert (ints, k) == ([2 ** 70, -3, 0], 1)
+        assert {type(v) for v in ints} == {int}
+
+
 class TestPolyGcd:
     def test_common_factor(self):
         assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
@@ -252,6 +264,9 @@ class TestRationalFunction:
 
     def test_display_matches_primitive_integer_form(self):
         assert str(RationalFunction(P(-11), P(-11, 9))) == "-11/(9*x - 11)"
+        assert str(RationalFunction(Polynomial())) == "0"
+        assert str(RationalFunction.constant(Fraction(-3, 4))) == "-3/4"
+        assert str(RationalFunction(P(0, Fraction(1, 2)))) == "(x)/2"
 
     def test_display_non_integer_denominator(self):
         f = RationalFunction(P(1, Fraction(1, 2)),
