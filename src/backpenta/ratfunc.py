@@ -6,9 +6,10 @@ and runs the LU recurrences over Q(x), the rational functions with rational
 coefficients; solve_symbolic runs the division-free Z[x] kernel instead.
 Q(x) holds the reference recurrences, a symbolic report's factors and z,
 and the canonical x_presub, in a canonical form (coprime numerator and
-denominator, monic denominator) so equality is structural. poly_gcd
-runs Euclid in ints to the first constant remainder; _cleared, the one
-place src clears denominators, also builds the kernel's rows.
+denominator, monic denominator) so equality is structural. src divides
+polynomials only over Z, in ints: poly_gcd's Euclid (_prem) and the
+division by the gcd (_exquo). _cleared, the one place src clears
+denominators, also builds the kernel's rows.
 
 Plain rationals are ``fractions.Fraction`` throughout; it already provides
 the reduced p/q invariant with a positive denominator.
@@ -130,29 +131,6 @@ class Polynomial:
         k = Fraction(k)
         return Polynomial(c * k for c in self.coeffs)
 
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quo = [Fraction(0)] * (dq + 1)
-        dlead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[len(other.coeffs) + k - 1] / dlead
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    rem[i + k] -= c * oc
-        return Polynomial(quo), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
@@ -209,7 +187,8 @@ def _prem(a: list, b: list) -> list:
     """Pseudo-remainder of a by b over Z, ascending int coefficients with
     b's last nonzero: k * (a mod b) for a nonzero integer k, with no
     trailing zeros. The remainder is scaled by b's leading coefficient
-    only at the steps that cancel a nonzero term."""
+    only at the steps that cancel a nonzero term. With _exquo, the only
+    polynomial division in src."""
     r = list(a)
     lead, m = b[-1], len(b) - 1
     while len(r) > m:
@@ -222,6 +201,20 @@ def _prem(a: list, b: list) -> list:
     while r and not r[-1]:
         r.pop()
     return r
+
+
+def _exquo(a: list, b: list) -> list:
+    """Exact quotient of a by b over Z, ascending int coefficients, for a
+    primitive b that divides a. By Gauss's lemma the quotient has integer
+    coefficients, so each step divides by b's leading coefficient exactly.
+    With _prem, the only polynomial division in src."""
+    r, lead, m = list(a), b[-1], len(b) - 1
+    q = [0] * (len(a) - m)
+    for k in reversed(range(len(q))):
+        c = q[k] = r.pop() // lead
+        for i, bc in enumerate(b[:m]):
+            r[k + i] -= c * bc
+    return q
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -278,9 +271,11 @@ class RationalFunction:
             self.den = Polynomial.constant(1)
             return
         g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        if g.degree > 0:  # cleared jointly, so the ratio stays
+            k, g = len(num.coeffs), _primitive(g.coeffs)
+            ints = _cleared(num.coeffs + den.coeffs)[0]
+            num = Polynomial(_exquo(ints[:k], g))
+            den = Polynomial(_exquo(ints[k:], g))
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead)
