@@ -25,11 +25,11 @@ O(n^2) memory: at n = 3000 it gave no result after 110 s of CPU.
 Exit codes (main reports every failure): 0 success; 1 "usage error: ..."
 (bad arguments, --tol outside float mode, NaN or below 0), "error: ..."
 (unreadable or malformed file, a float-mode literal beyond the float range,
-bad gen arguments, unwritable --out) or stdout closed by its reader
-(`| head`; nothing on stderr); 2 zero pivot (float/exact); 3 "singular: ..."
-or check's SINGULAR; 4 check: the banded and dense solutions differ. A
-consistent singular system exits 0 from solve --mode symbolic, printing its
-x -> 0 limit (det(A1) = 0 under --det), and 3 from check.
+bad gen arguments, unwritable --out, out of memory) or stdout closed by its
+reader (`| head`; nothing on stderr); 2 zero pivot (float/exact); 3
+"singular: ..." or check's SINGULAR; 4 check: the banded and dense solutions
+differ. A consistent singular system exits 0 from solve --mode symbolic,
+printing its x -> 0 limit (det(A1) = 0 under --det), and 3 from check.
 
 solve writes x (and the det line) in one write, once every value is
 formatted. main lifts Python's process-wide integer-string digit limit
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     # OverflowError: a literal beyond the float range, in float mode
     except (ParseError, SizeTooSmall, LengthMismatch, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # gen's draws, check's dense oracle, a huge file
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except ZeroPivot as exc:
         print(exc, file=sys.stderr)

@@ -92,14 +92,6 @@ def reverse_rows(system: _BandedSystem) -> _BandedSystem:
                tuple(reversed(system.y)))
 
 
-def laplacian_system(n: int, y) -> BackwardPentaSystem:
-    """The 5-point stencil's weights on five adjacent bands: -4 on the
-    anti-diagonal, 1 on the four beside it. It is not the 2-D Laplacian
-    matrix, whose outer bands sit m apart on an m x m grid."""
-    return BackwardPentaSystem(
-        *((1 if k else -4,) * (n - abs(k)) for _, k in BANDS), y)
-
-
 def band_product(system: _BandedSystem, v) -> tuple:
     """A v in O(n), exact over int and Fraction; A1 v, the rows reversed,
     for a PentaSystem."""

@@ -545,6 +545,19 @@ class TestSolveCommand:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    # a MemoryError from generate's draws or from reading a huge file is
+    # one stderr line, not a traceback; nothing is allocated to get it
+    @pytest.mark.parametrize("fn, argv", [
+        ("generate", ["gen", "--seed", "1", "--n", "1000000000"]),
+        ("read_system", ["solve", "huge.txt", "--mode", "float"]),
+    ], ids=["gen", "solve"])
+    def test_out_of_memory(self, monkeypatch, capsys, fn, argv):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, fn, exhausted)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
     def test_python_dash_m(self, ex31_path):
         src = os.path.dirname(os.path.dirname(backpenta.__file__))
         env = dict(os.environ, PYTHONPATH=src)

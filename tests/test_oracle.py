@@ -8,8 +8,7 @@ from answers import divided
 from backpenta import (BackwardPentaSystem, GeneratorConfig,
                        RationalFunction, Singular, SplitMix64, densify,
                        dense_det, dense_solve, force_interior_zero_pivot,
-                       generate, laplacian_system, new_system, reverse_rows,
-                       solve)
+                       generate, new_system, reverse_rows, solve)
 from backpenta import oracle, solver
 from backpenta.oracle import _band_slot
 from backpenta.solver import factor_symbolic
@@ -308,6 +307,6 @@ class TestForcedInteriorMatchesLiftedFormula:
         ([1.0, math.nan, 0, 0, 0, 0], "vector y: entry y_2 is nan, not finite"),
         ([1.0, 0, 0, 0, 0, -math.inf], "vector y: entry y_6 is -inf, not finite"),
     ])
-    def test_names_non_finite_entry(self, y, text):
+    def test_names_non_finite_entry(self, stencil, y, text):
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-            force_interior_zero_pivot(laplacian_system(6, y), 3)
+            force_interior_zero_pivot(stencil(y), 3)

@@ -4,7 +4,7 @@ import pytest
 
 from backpenta import (GeneratorConfig, LengthMismatch, SizeTooSmall,
                        SplitMix64, densify, dense_solve, generate,
-                       laplacian_system, new_system, reverse_rows, solve)
+                       new_system, reverse_rows, solve)
 from backpenta.systems import band_product
 
 EX31_MATRIX = [
@@ -68,22 +68,8 @@ def test_all_zero_bands_densify_to_zero_matrix():
     assert densify(s) == [[0] * 5 for _ in range(5)]
 
 
-def test_laplacian_bands():
-    s = laplacian_system(5, [1, 1, 1, 1, 1])
-    assert s.d == (-4,) * 5
-    assert s.a == s.b == (1,) * 4
-    assert s.a_tilde == s.b_tilde == (1,) * 3
-    nonzeros = sum(1 for row in densify(s) for v in row if v != 0)
-    assert nonzeros == 5 * 5 - 6
-
-
-def test_laplacian_rejects_small_n():
-    with pytest.raises(SizeTooSmall):
-        laplacian_system(4, [1, 1, 1, 1])
-
-
-def test_laplacian_solve_matches_dense_oracle():
-    s = laplacian_system(6, [1] * 6)
+def test_laplacian_solve_matches_dense_oracle(stencil):
+    s = stencil([1] * 6)
     x = solve(s, mode="exact").x
     assert x == dense_solve(densify(s), s.y)
 
